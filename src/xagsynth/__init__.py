@@ -1,15 +1,6 @@
 """AND-optimal XOR-AND circuits for all leave-one-out products of n inputs."""
 
-from .anf import (
-    Anf,
-    Monomial,
-    TruthTable,
-    anf_add,
-    anf_degree,
-    anf_from_truth_table,
-    anf_multiply,
-    anf_to_truth_table,
-)
+from .anf import Anf, Monomial, TruthTable
 from .circuit import AND, CONST1, INPUT, NOT, XOR, Circuit, CircuitBuilder
 from .io_formats import (
     BristolFormatError,
@@ -45,11 +36,6 @@ __all__ = [
     "Anf",
     "Monomial",
     "TruthTable",
-    "anf_add",
-    "anf_degree",
-    "anf_from_truth_table",
-    "anf_multiply",
-    "anf_to_truth_table",
     "AND",
     "CONST1",
     "INPUT",

@@ -203,25 +203,3 @@ class Anf:
         if not self.terms:
             return "0"
         return " + ".join(str(m) for m in sorted(self.terms))
-
-
-# Functional aliases; the operators above are the primary surface.
-
-def anf_add(a: Anf, b: Anf) -> Anf:
-    return a + b
-
-
-def anf_multiply(a: Anf, b: Anf) -> Anf:
-    return a * b
-
-
-def anf_degree(a: Anf) -> int:
-    return a.degree()
-
-
-def anf_from_truth_table(t: TruthTable) -> Anf:
-    return Anf.from_truth_table(t)
-
-
-def anf_to_truth_table(a: Anf) -> TruthTable:
-    return a.to_truth_table()

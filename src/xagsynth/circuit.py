@@ -6,10 +6,11 @@ have strictly smaller ids, so id order is a topological order. AND gates are
 binary; XOR gates take two or more operands and are lowered to binary chains
 only at export time; NOT is x XOR 1 and never counts toward the AND total.
 
-The builder hash-conses structurally identical gates (same kind, same operand
-list as ordered) so repeated subterms share one node. It performs no algebraic
-rewriting: what you build is what you get, and correctness is checked by the
-independent oracles in :mod:`xagsynth.verify`.
+The builder is append-only: every call adds exactly one gate and returns its
+id, and nothing is shared behind the caller's back. A construction that wants
+a node reused keeps its id and passes it again. The builder performs no
+algebraic rewriting either: what you build is what you get, and correctness
+is checked by the independent oracles in :mod:`xagsynth.verify`.
 
 Evaluation is bit-parallel: every wire is a wide Python int holding one bit
 per evaluation point, so a full 2^n-point truth table costs one pass over the
@@ -30,31 +31,24 @@ XOR = "XOR"
 NOT = "NOT"
 
 # Gates are plain tuples: (INPUT, var), (CONST1,), (AND, a, b),
-# (XOR, op1, op2, ...), (NOT, a). The tuple doubles as the hash-consing key.
+# (XOR, op1, op2, ...), (NOT, a).
 Gate = tuple
 
 
 class CircuitBuilder:
-    """Single-owner builder; call :meth:`finish` to freeze a Circuit."""
+    """Single-owner, append-only builder; call :meth:`finish` to freeze a Circuit.
+
+    Each of :meth:`input`, :meth:`const1`, :meth:`and_`, :meth:`xor` and
+    :meth:`not_` appends one gate and returns its id, the next dense id.
+    """
 
     def __init__(self, arity: int):
         if arity < 1:
             raise ValueError("arity must be at least 1")
         self.arity = arity
         self._gates: list[Gate] = []
-        self._cons: dict[Gate, int] = {}
         self._inputs: dict[int, int] = {}
         self.and_gates_created = 0
-
-    def _emit(self, gate: Gate) -> int:
-        gid = self._cons.get(gate)
-        if gid is None:
-            gid = len(self._gates)
-            self._gates.append(gate)
-            self._cons[gate] = gid
-            if gate[0] == AND:
-                self.and_gates_created += 1
-        return gid
 
     def _check_operand(self, gid: int) -> None:
         if not 0 <= gid < len(self._gates):
@@ -65,7 +59,8 @@ class CircuitBuilder:
             raise ValueError(f"input index {var} out of range 1..{self.arity}")
         if var in self._inputs:
             raise ValueError(f"input x{var} already added")
-        gid = self._emit((INPUT, var))
+        gid = len(self._gates)
+        self._gates.append((INPUT, var))
         self._inputs[var] = gid
         return gid
 
@@ -80,43 +75,35 @@ class CircuitBuilder:
             raise ValueError(f"input x{var} has not been added") from None
 
     def const1(self) -> int:
-        return self._emit((CONST1,))
+        gid = len(self._gates)
+        self._gates.append((CONST1,))
+        return gid
 
-    # and_/xor are the hot path for large syntheses; checks and consing are
-    # inlined rather than routed through _emit
     def and_(self, a: int, b: int) -> int:
         gates = self._gates
-        ng = len(gates)
-        if not (0 <= a < ng and 0 <= b < ng):
-            raise ValueError(f"unknown gate id {b if 0 <= a < ng else a}")
-        gate = (AND, a, b)
-        gid = self._cons.get(gate)
-        if gid is None:
-            gid = ng
-            gates.append(gate)
-            self._cons[gate] = gid
-            self.and_gates_created += 1
+        gid = len(gates)
+        if not (0 <= a < gid and 0 <= b < gid):
+            raise ValueError(f"unknown gate id {b if 0 <= a < gid else a}")
+        gates.append((AND, a, b))
+        self.and_gates_created += 1
         return gid
 
     def xor(self, *operands: int) -> int:
         if len(operands) < 2:
             raise ValueError("XOR needs at least 2 operands")
         gates = self._gates
-        ng = len(gates)
+        gid = len(gates)
         for o in operands:
-            if not 0 <= o < ng:
+            if not 0 <= o < gid:
                 raise ValueError(f"unknown gate id {o}")
-        gate = (XOR, *operands)
-        gid = self._cons.get(gate)
-        if gid is None:
-            gid = ng
-            gates.append(gate)
-            self._cons[gate] = gid
+        gates.append((XOR, *operands))
         return gid
 
     def not_(self, a: int) -> int:
         self._check_operand(a)
-        return self._emit((NOT, a))
+        gid = len(self._gates)
+        self._gates.append((NOT, a))
+        return gid
 
     def finish(self, outputs: Sequence[tuple[str, int]]) -> "Circuit":
         for _, gid in outputs:
@@ -189,7 +176,7 @@ class Circuit:
         return mark
 
     def and_count(self) -> int:
-        """Number of distinct AND gates reachable from the outputs."""
+        """Number of AND gates reachable from the outputs."""
         mark = self.reachable()
         return sum(1 for gate, m in zip(self.gates, mark) if m and gate[0] == AND)
 

@@ -15,9 +15,10 @@ inputs except x_i. Two constructions are provided:
   unrelated to the optimal construction, so it doubles as a differential
   oracle at arities too large for exhaustive checking.
 
-Cumulative XOR prefixes x_1 XOR ... XOR x_k are built once and shared by
-every stage that needs them; XORs are free for the AND count but sharing
-keeps the circuit O(n) nodes.
+The builder is append-only, so every node a later stage reuses is shared by
+id here: the cumulative XOR prefixes x_1 XOR ... XOR x_k, and the pair sums
+x_i XOR x_{i+1} that stage 1 builds and stage 2 multiplies by sigma_n. XORs
+are free for the AND count, but sharing keeps the circuit O(n) nodes.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ class SigmaNodes(NamedTuple):
     top: int  # XOR of all n monomials of degree n-1
     previous: int | None  # sigma_{n-1} node, exposed only for even n
     xor_prefix: list  # xor_prefix[k] = x_1 XOR ... XOR x_k (index 0 unused)
+    pair_xor: dict  # i -> gate id of x_i XOR x_{i+1}, for the pairs stage 1 built
 
 
 @dataclass
@@ -47,7 +49,6 @@ class SynthesisPlan:
     n: int
     construction: str
     circuit: Circuit
-    sigma: SigmaNodes | None
     stage2_nodes: list[int]  # the n-1 stage-2 gate ids, in label order
     stage_and_counts: tuple[int, int, int]
 
@@ -73,21 +74,20 @@ def build_sigma(builder: CircuitBuilder, n: int) -> SigmaNodes:
     for k in range(2, top_prefix + 1):
         prefix.append(builder.xor(prefix[k - 1], x[k]))
 
-    sigma = builder.xor(builder.and_(builder.xor(x[1], x[2]), builder.xor(x[2], x[3])), x[2])
+    pair_xor = {1: prefix[2], 2: builder.xor(x[2], x[3])}
+    sigma = builder.xor(builder.and_(pair_xor[1], pair_xor[2]), x[2])
     odd_top = n if n % 2 else n - 1
     for m in range(5, odd_top + 1, 2):
         # sigma_m = sigma_{m-2} AND (((x_{m-1} XOR x_m) AND (x_1+...+x_{m-1})) XOR x_{m-1})
-        t = builder.xor(
-            builder.and_(builder.xor(x[m - 1], x[m]), prefix[m - 1]),
-            x[m - 1],
-        )
+        pair_xor[m - 1] = builder.xor(x[m - 1], x[m])
+        t = builder.xor(builder.and_(pair_xor[m - 1], prefix[m - 1]), x[m - 1])
         sigma = builder.and_(sigma, t)
 
     if n % 2 == 0:
         previous = sigma
         sigma = builder.and_(previous, prefix[n])
-        return SigmaNodes(sigma, previous, prefix)
-    return SigmaNodes(sigma, None, prefix)
+        return SigmaNodes(sigma, previous, prefix, pair_xor)
+    return SigmaNodes(sigma, None, prefix, pair_xor)
 
 
 class Stage2Nodes(NamedTuple):
@@ -100,15 +100,17 @@ def build_stage2(builder: CircuitBuilder, n: int, sigma: SigmaNodes) -> Stage2No
 
     Odd n: pair products for i = 1..n-1. Even n: pair products for
     i = 1..n-2 plus the final output sigma_{n-1} AND (x_1 XOR .. XOR x_{n-1}),
-    whose value is exactly the monomial x_1...x_{n-1}.
+    whose value is exactly the monomial x_1...x_{n-1}. Pair sums that stage 1
+    built are reused; only the missing ones are added.
     """
     _check_n(n)
     hi = n - 1 if n % 2 else n - 2
     pairs: dict[int, int] = {}
     for i in range(1, hi + 1):
-        a = builder.input_id(i)
-        b = builder.input_id(i + 1)
-        pairs[i] = builder.and_(builder.xor(a, b), sigma.top)
+        pair = sigma.pair_xor.get(i)
+        if pair is None:
+            pair = builder.xor(builder.input_id(i), builder.input_id(i + 1))
+        pairs[i] = builder.and_(pair, sigma.top)
     if n % 2 == 0:
         if sigma.previous is None:
             raise ValueError("even arity requires the exposed sigma_{n-1} node")
@@ -176,14 +178,13 @@ def synthesize_plan(n: int, construction: str = OPTIMAL) -> SynthesisPlan:
             stage2_nodes.append(stage2.last_output)
         counts = (c1, c2 - c1, c3 - c2)
     elif construction == BASELINE:
-        sigma = None
         outputs = _build_baseline(builder, n)
         stage2_nodes = []
         counts = (builder.and_gates_created, 0, 0)
     else:
         raise ValueError(f"unknown construction {construction!r}")
     circuit = builder.finish([(f"f_{i}", gid) for i, gid in enumerate(outputs, start=1)])
-    return SynthesisPlan(n, construction, circuit, sigma, stage2_nodes, counts)
+    return SynthesisPlan(n, construction, circuit, stage2_nodes, counts)
 
 
 def synthesize(n: int, construction: str = OPTIMAL) -> Circuit:

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .anf import Anf, Monomial
+from .anf import MAX_DENSE_ARITY, Anf, Monomial
 from .bitops import full_mask, iter_one_bits
 from .circuit import Circuit, CircuitBuilder
 from .synth import build_sigma, build_stage2, build_stage3
@@ -123,11 +123,25 @@ def _collect_mismatches(got_cols, expected_cols, point_bits_at):
     return mismatches, total
 
 
+def _report(mode, circuit, inputs_checked, got_cols, expected_cols, point_bits_at,
+            expected_and_count, **extra) -> VerificationReport:
+    """Diff the columns, count ANDs and decide pass/fail in one place."""
+    mismatches, total = _collect_mismatches(got_cols, expected_cols, point_bits_at)
+    observed = circuit.and_count()
+    passed = total == 0 and (expected_and_count is None or observed == expected_and_count)
+    return VerificationReport(
+        mode=mode, arity=circuit.arity, inputs_checked=inputs_checked,
+        outputs_checked=circuit.arity, mismatches=mismatches, mismatch_count=total,
+        and_count_observed=observed, and_count_expected=expected_and_count,
+        passed=passed, **extra,
+    )
+
+
 def check_exhaustive(circuit: Circuit, expected_and_count: int | None = None) -> VerificationReport:
     """Compare every output against the closed-form reference on all inputs."""
     n = circuit.arity
-    if n > 24:
-        raise ValueError("exhaustive check limited to arity 24")
+    if n > MAX_DENSE_ARITY:
+        raise ValueError(f"exhaustive check limited to arity {MAX_DENSE_ARITY}")
     if len(circuit.outputs) != n:
         raise ValueError(f"expected {n} outputs, circuit has {len(circuit.outputs)}")
     got = [t.bits for t in circuit.eval_all()]
@@ -136,15 +150,7 @@ def check_exhaustive(circuit: Circuit, expected_and_count: int | None = None) ->
     def point_bits(x: int) -> tuple[int, ...]:
         return tuple((x >> j) & 1 for j in range(n))
 
-    mismatches, total = _collect_mismatches(got, expected, point_bits)
-    observed = circuit.and_count()
-    passed = total == 0 and (expected_and_count is None or observed == expected_and_count)
-    return VerificationReport(
-        mode=EXHAUSTIVE, arity=n, inputs_checked=1 << n, outputs_checked=n,
-        mismatches=mismatches, mismatch_count=total,
-        and_count_observed=observed, and_count_expected=expected_and_count,
-        passed=passed,
-    )
+    return _report(EXHAUSTIVE, circuit, 1 << n, got, expected, point_bits, expected_and_count)
 
 
 def _sample_columns(n: int, count: int, seed: int) -> tuple[dict[int, int], int]:
@@ -181,15 +187,8 @@ def check_sampled(circuit: Circuit, count: int, seed: int,
     def point_bits(t: int) -> tuple[int, ...]:
         return tuple((columns[v] >> t) & 1 for v in range(1, n + 1))
 
-    mismatches, total = _collect_mismatches(got, expected, point_bits)
-    observed = circuit.and_count()
-    passed = total == 0 and (expected_and_count is None or observed == expected_and_count)
-    return VerificationReport(
-        mode=SAMPLED, arity=n, inputs_checked=width, outputs_checked=n,
-        mismatches=mismatches, mismatch_count=total,
-        and_count_observed=observed, and_count_expected=expected_and_count,
-        passed=passed, sample_count=count, seed=seed,
-    )
+    return _report(SAMPLED, circuit, width, got, expected, point_bits, expected_and_count,
+                   sample_count=count, seed=seed)
 
 
 def leave_one_out_columns(columns: list[int], width: int) -> list[int]:

@@ -30,11 +30,14 @@ class TestBuilder:
         with pytest.raises(ValueError):
             b.input(5)
 
-    def test_hash_consing_returns_same_id(self):
+    def test_each_call_appends_next_id(self):
+        # append-only: identical calls make distinct gates with dense ids
         b = CircuitBuilder(2)
         x1, x2 = b.add_inputs()
-        assert b.xor(x1, x2) == b.xor(x1, x2)
-        assert b.and_(x1, x2) == b.and_(x1, x2)
+        ids = [b.xor(x1, x2), b.xor(x1, x2), b.and_(x1, x2), b.and_(x1, x2),
+               b.not_(x1), b.not_(x1), b.const1(), b.const1()]
+        assert [x1, x2] + ids == list(range(10))
+        assert b.and_gates_created == 2
 
     def test_and_of_same_operand_is_syntactic(self):
         b = CircuitBuilder(1)
@@ -208,9 +211,9 @@ class TestEvalAgreement:
 
     @given(random_circuits())
     @settings(max_examples=25, deadline=None)
-    def test_consing_identical_gates_is_safe(self, c):
-        # rebuild the same gate list twice over; consing collapses the second
-        # copy onto the first without changing any output table
+    def test_rebuilding_appends_second_copy(self, c):
+        # rebuild the same gate list twice over; the builder keeps a second
+        # copy of every non-input gate without changing any output table
         b = CircuitBuilder(c.arity)
         mapping = {}
         for _ in range(2):
@@ -228,5 +231,8 @@ class TestEvalAgreement:
                 else:
                     mapping[gid] = b.xor(*(mapping[o] for o in gate[1:]))
         c2 = b.finish([(lbl, mapping[g]) for lbl, g in c.outputs])
-        assert len(c2.gates) == len(c.gates)
+        inputs = sum(1 for gate in c.gates if gate[0] == "INPUT")
+        assert c2.gates[:len(c.gates)] == c.gates
+        assert len(c2.gates) == 2 * len(c.gates) - inputs
         assert [t.bits for t in c2.eval_all()] == [t.bits for t in c.eval_all()]
+        assert c2.and_count() == c.and_count()

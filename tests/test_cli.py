@@ -79,5 +79,19 @@ class TestStatsCommand:
         assert "baseline and_count = 12" in out
         assert "degree lower bound = 4" in out
 
+    def test_bound_above_and_count_fails(self, monkeypatch, capsys):
+        monkeypatch.setattr("xagsynth.cli.degree_lower_bound", lambda a: 10 ** 6)
+        assert cli(["stats", "--n", "6"]) == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_missing_subcommand(self):
         assert cli([]) == 2
+
+
+class TestIOErrors:
+    @pytest.mark.parametrize("argv", [["verify", "--n", "5", "--report"],
+                                      ["synth", "--n", "5", "--out"]])
+    def test_missing_directory_is_usage_error(self, tmp_path, capsys, argv):
+        assert cli(argv + [str(tmp_path / "missing" / "out")]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not list(tmp_path.rglob(".tmp-*"))

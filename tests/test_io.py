@@ -84,6 +84,12 @@ class TestBristolRoundTrip:
         doc = export_bristol(synthesize(n, OPTIMAL))
         assert len(and_lines(doc)) == 2 * n - 3
 
+    def test_repeated_and_line_is_kept_and_counted(self):
+        doc = "2 4\n1 2\n2 1 1\n\n2 1 0 1 2 AND\n2 1 0 1 3 AND\n"
+        c = import_bristol(doc)
+        assert c.gates[2:] == (("AND", 0, 1), ("AND", 0, 1))
+        assert c.and_count() == 2
+
 
 class TestBristolImportErrors:
     def test_missing_header(self):

@@ -154,10 +154,9 @@ class TestSynthesize:
         c = synthesize(3, OPTIMAL)
         assert c.and_count() == 3
         tables = c.eval_all()
-        from xagsynth import anf_from_truth_table
-        assert anf_from_truth_table(tables[0]) == Anf(3, [Monomial.of(2, 3)])
-        assert anf_from_truth_table(tables[1]) == Anf(3, [Monomial.of(1, 3)])
-        assert anf_from_truth_table(tables[2]) == Anf(3, [Monomial.of(1, 2)])
+        assert Anf.from_truth_table(tables[0]) == Anf(3, [Monomial.of(2, 3)])
+        assert Anf.from_truth_table(tables[1]) == Anf(3, [Monomial.of(1, 3)])
+        assert Anf.from_truth_table(tables[2]) == Anf(3, [Monomial.of(1, 2)])
 
     def test_output_labels_in_index_order(self):
         c = synthesize(6)
@@ -176,6 +175,14 @@ class TestSynthesize:
     def test_counts_exact(self, n):
         assert synthesize(n, OPTIMAL).and_count() == 2 * n - 3
         assert synthesize(n, BASELINE).and_count() == 3 * n - 6
+
+    @pytest.mark.parametrize("construction", [OPTIMAL, BASELINE])
+    def test_no_structurally_identical_gates(self, construction):
+        # the builder shares nothing by itself, so a pair sum that stage 2
+        # failed to reuse from stage 1 would show up as a repeated gate
+        for n in range(3, 65):
+            gates = synthesize(n, construction).gates
+            assert len(set(gates)) == len(gates), n
 
     @pytest.mark.parametrize("n", range(3, 11))
     def test_stage_budget(self, n):
