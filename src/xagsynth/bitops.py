@@ -6,6 +6,23 @@ def full_mask(width: int) -> int:
     return (1 << width) - 1
 
 
+def clear_mask(arity: int, j: int) -> int:
+    """Column over all 2^arity points with ones where bit j of the point is clear.
+
+    Built from one period (2^j ones, then 2^j zeros) by doubling with
+    shift-and-OR, so it costs O(2^arity) bit operations.
+    """
+    if not 0 <= j < arity:
+        raise ValueError(f"bit index {j} out of range 0..{arity - 1}")
+    width = 2 << j
+    mask = (1 << (1 << j)) - 1
+    total = 1 << arity
+    while width < total:
+        mask |= mask << width
+        width <<= 1
+    return mask
+
+
 def variable_column(arity: int, var: int) -> int:
     """Column of input x_var over all 2^arity points.
 
@@ -14,10 +31,7 @@ def variable_column(arity: int, var: int) -> int:
     """
     if not 1 <= var <= arity:
         raise ValueError(f"variable index {var} out of range 1..{arity}")
-    block = 1 << (var - 1)
-    full = full_mask(1 << arity)
-    # full // (2^block + 1) has ones exactly where bit (var-1) is clear
-    return (full // ((1 << block) + 1)) << block
+    return clear_mask(arity, var - 1) << (1 << (var - 1))
 
 
 def mobius_transform(bits: int, arity: int) -> int:
@@ -26,11 +40,8 @@ def mobius_transform(bits: int, arity: int) -> int:
     Maps a truth table to its ANF coefficient vector (coefficient of the
     monomial with variable set S lands at index S) and back.
     """
-    full = full_mask(1 << arity)
     for j in range(arity):
-        block = 1 << j
-        low = full // ((1 << block) + 1)  # positions with bit j clear
-        bits ^= (bits & low) << block
+        bits ^= (bits & clear_mask(arity, j)) << (1 << j)
     return bits
 
 

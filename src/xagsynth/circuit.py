@@ -191,29 +191,54 @@ class Circuit:
 
     # -- evaluation --------------------------------------------------------
 
+    def _last_uses(self) -> list[int]:
+        """Per gate, the id of the last gate that reads it.
+
+        An unread gate maps to its own id; an output maps to ``len(gates)``,
+        past every gate, so its column is never dropped.
+        """
+        gates = self.gates
+        last = list(range(len(gates)))
+        for gid, gate in enumerate(gates):
+            if gate[0] in (AND, XOR, NOT):
+                for o in gate[1:]:
+                    last[o] = gid
+        for _, gid in self.outputs:
+            last[gid] = len(gates)
+        return last
+
     def output_columns(self, input_columns: Mapping[int, int], width: int) -> list[int]:
         """Forward pass over bit columns of the given width.
 
         ``input_columns`` maps a 1-based variable index to its column; bit t
         of each output column is that output's value at evaluation point t.
+        A gate's column is dropped after its last reader, so only the live
+        set is held at once.
         """
         ones = full_mask(width)
-        cols = [0] * len(self.gates)
+        last = self._last_uses()
+        cols: list[int | None] = [None] * len(self.gates)
         for gid, gate in enumerate(self.gates):
             kind = gate[0]
-            if kind == AND:
-                v = cols[gate[1]] & cols[gate[2]]
-            elif kind == XOR:
-                v = cols[gate[1]]
-                for o in gate[2:]:
-                    v ^= cols[o]
-            elif kind == NOT:
-                v = cols[gate[1]] ^ ones
-            elif kind == INPUT:
+            if kind == INPUT:
                 v = input_columns[gate[1]]
-            else:  # CONST1
+            elif kind == CONST1:
                 v = ones
-            cols[gid] = v
+            else:
+                ops = gate[1:]
+                if kind == AND:
+                    v = cols[ops[0]] & cols[ops[1]]
+                elif kind == XOR:
+                    v = cols[ops[0]]
+                    for o in ops[1:]:
+                        v ^= cols[o]
+                else:  # NOT
+                    v = cols[ops[0]] ^ ones
+                for o in ops:
+                    if last[o] == gid:
+                        cols[o] = None
+            if last[gid] != gid:
+                cols[gid] = v
         return [cols[gid] for _, gid in self.outputs]
 
     def eval(self, bits: Sequence[int]) -> tuple[int, ...]:

@@ -26,17 +26,23 @@ EXIT_USAGE = 2
 
 
 def write_text_atomic(path: str, text: str) -> None:
-    """Write via a temp file in the same directory, then rename."""
+    """Write via a temp file in the same directory, then rename.
+
+    An ``OSError`` is re-raised naming ``path``, never the temp file.
+    """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise type(exc)(exc.errno, exc.strerror, path) from exc
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -111,6 +113,34 @@ class TestEval:
         c = b.finish([("y", g)])
         with pytest.raises(ValueError):
             c.eval_all()
+
+    def test_outputs_read_later_and_dead_gates(self):
+        # an output also read by a later gate, a repeated operand and an
+        # unread gate: no column is dropped while something still needs it
+        b = CircuitBuilder(2)
+        x1, x2 = b.add_inputs()
+        a = b.and_(x1, x2)
+        b.xor(a, x1)  # unread
+        sq = b.and_(a, a)
+        c = b.finish([("a", a), ("y", b.xor(sq, x2)), ("n", b.not_(a))])
+        assert [t.values() for t in c.eval_all()] == [[0, 0, 0, 1], [0, 0, 1, 0], [1, 1, 1, 0]]
+
+    def test_dead_columns_are_released(self):
+        width = 1 << 20
+        b = CircuitBuilder(1)
+        g = b.input(1)
+        for _ in range(64):
+            g = b.not_(g)
+        c = b.finish([("y", g)])
+        x = (1 << width) - 1
+        tracemalloc.start()
+        try:
+            (y,) = c.output_columns({1: x}, width)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert y == x
+        assert peak < 8 * (width // 8)  # a few live columns, not one per gate
 
 
 class TestAndCount:

@@ -92,6 +92,15 @@ class TestIOErrors:
     @pytest.mark.parametrize("argv", [["verify", "--n", "5", "--report"],
                                       ["synth", "--n", "5", "--out"]])
     def test_missing_directory_is_usage_error(self, tmp_path, capsys, argv):
-        assert cli(argv + [str(tmp_path / "missing" / "out")]) == 2
-        assert "error:" in capsys.readouterr().err
+        assert cli(argv + [str(tmp_path / "missing" / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "r.json" in err and ".tmp-" not in err
+        assert not list(tmp_path.rglob(".tmp-*"))
+
+    def test_rename_onto_directory_names_the_given_path(self, tmp_path, capsys):
+        target = tmp_path / "r.json"
+        target.mkdir()
+        assert cli(["verify", "--n", "5", "--report", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert str(target) in err and ".tmp-" not in err
         assert not list(tmp_path.rglob(".tmp-*"))

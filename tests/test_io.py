@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xagsynth import (
     BASELINE,
@@ -89,6 +91,45 @@ class TestBristolRoundTrip:
         c = import_bristol(doc)
         assert c.gates[2:] == (("AND", 0, 1), ("AND", 0, 1))
         assert c.and_count() == 2
+
+
+_FUZZ_DOCS = [export_bristol(synthesize(n, c))
+              for n, c in [(3, OPTIMAL), (4, BASELINE), (5, OPTIMAL)]]
+_FUZZ_TOKENS = st.one_of(st.integers(-2, 48).map(str),
+                         st.sampled_from(["AND", "XOR", "INV", "EQW", "x", "1.5", ""]))
+
+
+@st.composite
+def mutated_bristol(draw):
+    """A valid document after 1-4 line deletions, duplications, swaps or
+    token replacements."""
+    lines = draw(st.sampled_from(_FUZZ_DOCS)).split("\n")
+    for _ in range(draw(st.integers(1, 4))):
+        op = draw(st.sampled_from(["delete", "duplicate", "swap", "token"]))
+        i = draw(st.integers(0, len(lines) - 1))
+        if op == "delete" and len(lines) > 1:
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        elif op == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op == "token":
+            tokens = lines[i].split(" ")
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(_FUZZ_TOKENS)
+            lines[i] = " ".join(tokens)
+    return "\n".join(lines)
+
+
+class TestBristolImportFuzz:
+    @given(mutated_bristol())
+    @settings(max_examples=300, deadline=None)
+    def test_valid_circuit_or_format_error(self, doc):
+        try:
+            circuit = import_bristol(doc)
+        except BristolFormatError:
+            return
+        circuit.validate()
 
 
 class TestBristolImportErrors:

@@ -85,6 +85,13 @@ class TestExhaustive:
     def test_all_small_arities(self, n, construction):
         assert check_exhaustive(synthesize(n, construction)).passed
 
+    @pytest.mark.parametrize("n", range(17, 25))
+    @pytest.mark.parametrize("construction", [OPTIMAL, BASELINE])
+    def test_large_arities_up_to_dense_cap(self, n, construction):
+        ands = 2 * n - 3 if construction == OPTIMAL else 3 * n - 6
+        r = check_exhaustive(synthesize(n, construction), expected_and_count=ands)
+        assert r.passed and r.mismatch_count == 0 and r.inputs_checked == 1 << n
+
     def test_mutated_circuit_fails(self):
         plan = synthesize_plan(5, OPTIMAL)
         broken = plan.circuit.replace_output(0, plan.stage2_nodes[0])
