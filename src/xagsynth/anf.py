@@ -52,10 +52,6 @@ class Monomial:
     def degree(self) -> int:
         return self.mask.bit_count()
 
-    def union(self, other: "Monomial") -> "Monomial":
-        """Product of monomials: x*x = x, so multiply = union of factors."""
-        return Monomial(self.mask | other.mask)
-
     def evaluate(self, point: int) -> int:
         """Value at a point given as an input bitmask (bit j-1 = x_j)."""
         return int(self.mask & ~point == 0)
@@ -132,10 +128,6 @@ class Anf:
     @classmethod
     def one(cls, arity: int) -> "Anf":
         return cls(arity, [Monomial()])
-
-    @classmethod
-    def variable(cls, arity: int, i: int) -> "Anf":
-        return cls(arity, [Monomial.of(i)])
 
     @classmethod
     def monomial(cls, arity: int, indices: Iterable[int]) -> "Anf":

@@ -6,11 +6,20 @@ have strictly smaller ids, so id order is a topological order. AND gates are
 binary; XOR gates take two or more operands and are lowered to binary chains
 only at export time; NOT is x XOR 1 and never counts toward the AND total.
 
-The builder is append-only: every call adds exactly one gate and returns its
-id, and nothing is shared behind the caller's back. A construction that wants
-a node reused keeps its id and passes it again. The builder performs no
-algebraic rewriting either: what you build is what you get, and correctness
-is checked by the independent oracles in :mod:`xagsynth.verify`.
+Layout: a circuit of arity n starts with its n inputs, so input x_v is gate
+v - 1, as in Bristol Fashion where inputs are wires 0..n-1. Every later gate
+is ``(kind, *operand ids)`` with kind CONST1, AND, XOR or NOT; no INPUT gate
+follows the prefix. :meth:`Circuit.validate` enforces this, and every walk
+over the gates relies on it: evaluation and export seed the first n gates
+from the inputs, and a walk along edges reads ``gate[1:]`` of the later
+gates as operands without asking for the kind.
+
+The builder is append-only: it starts with the n inputs, every later call
+adds exactly one gate and returns its id, and nothing is shared behind the
+caller's back. A construction that wants a node reused keeps its id and
+passes it again. The builder performs no algebraic rewriting either: what
+you build is what you get, and correctness is checked by the independent
+oracles in :mod:`xagsynth.verify`.
 
 Evaluation is bit-parallel: every wire is a wide Python int holding one bit
 per evaluation point, so a full 2^n-point truth table costs one pass over the
@@ -19,7 +28,8 @@ gate list.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+import sys
+from typing import Sequence
 
 from .anf import MAX_DENSE_ARITY, TruthTable
 from .bitops import full_mask, variable_column
@@ -30,49 +40,34 @@ AND = "AND"
 XOR = "XOR"
 NOT = "NOT"
 
-# Gates are plain tuples: (INPUT, var), (CONST1,), (AND, a, b),
-# (XOR, op1, op2, ...), (NOT, a).
+# Gates are plain tuples. Gates 0..arity-1 are (INPUT, 1)..(INPUT, arity);
+# after them come (CONST1,), (AND, a, b), (XOR, op1, op2, ...) and (NOT, a),
+# so gate[1:] of every non-input gate is its operand ids.
 Gate = tuple
+
+# Operand counts allowed for each kind that may follow the inputs.
+_OPERAND_COUNTS = {CONST1: range(1), AND: range(2, 3), XOR: range(2, sys.maxsize),
+                   NOT: range(1, 2)}
 
 
 class CircuitBuilder:
     """Single-owner, append-only builder; call :meth:`finish` to freeze a Circuit.
 
-    Each of :meth:`input`, :meth:`const1`, :meth:`and_`, :meth:`xor` and
-    :meth:`not_` appends one gate and returns its id, the next dense id.
+    A new builder holds the inputs: x_v is gate v - 1. Each of
+    :meth:`const1`, :meth:`and_`, :meth:`xor` and :meth:`not_` appends one
+    gate and returns its id, the next dense id.
     """
 
     def __init__(self, arity: int):
         if arity < 1:
             raise ValueError("arity must be at least 1")
         self.arity = arity
-        self._gates: list[Gate] = []
-        self._inputs: dict[int, int] = {}
+        self._gates: list[Gate] = [(INPUT, v) for v in range(1, arity + 1)]
         self.and_gates_created = 0
 
     def _check_operand(self, gid: int) -> None:
         if not 0 <= gid < len(self._gates):
             raise ValueError(f"unknown gate id {gid}")
-
-    def input(self, var: int) -> int:
-        if not 1 <= var <= self.arity:
-            raise ValueError(f"input index {var} out of range 1..{self.arity}")
-        if var in self._inputs:
-            raise ValueError(f"input x{var} already added")
-        gid = len(self._gates)
-        self._gates.append((INPUT, var))
-        self._inputs[var] = gid
-        return gid
-
-    def add_inputs(self) -> list[int]:
-        """Add all inputs x_1..x_arity; returns their ids in index order."""
-        return [self.input(v) for v in range(1, self.arity + 1)]
-
-    def input_id(self, var: int) -> int:
-        try:
-            return self._inputs[var]
-        except KeyError:
-            raise ValueError(f"input x{var} has not been added") from None
 
     def const1(self) -> int:
         gid = len(self._gates)
@@ -123,33 +118,21 @@ class Circuit:
 
     def validate(self) -> None:
         """Check structural invariants; used on import and in tests."""
-        seen_vars = set()
-        for gid, gate in enumerate(self.gates):
-            kind = gate[0]
-            if kind == INPUT:
-                var = gate[1]
-                if not 1 <= var <= self.arity:
-                    raise ValueError(f"gate {gid}: input index {var} out of range")
-                if var in seen_vars:
-                    raise ValueError(f"gate {gid}: duplicate input x{var}")
-                seen_vars.add(var)
-            elif kind == CONST1:
-                pass
-            elif kind in (AND, XOR, NOT):
-                ops = gate[1:]
-                if kind == AND and len(ops) != 2:
-                    raise ValueError(f"gate {gid}: AND must have 2 operands")
-                if kind == XOR and len(ops) < 2:
-                    raise ValueError(f"gate {gid}: XOR needs at least 2 operands")
-                if kind == NOT and len(ops) != 1:
-                    raise ValueError(f"gate {gid}: NOT takes 1 operand")
-                for o in ops:
-                    if not 0 <= o < gid:
-                        raise ValueError(f"gate {gid}: operand {o} not before gate")
-            else:
-                raise ValueError(f"gate {gid}: unknown kind {kind!r}")
+        n, gates = self.arity, self.gates
+        if tuple(gates[:n]) != tuple((INPUT, v) for v in range(1, n + 1)):
+            raise ValueError(f"gates 0..{n - 1} must be the inputs x1..x{n} in order")
+        for gid, gate in enumerate(gates[n:], n):
+            kind, ops = gate[0], gate[1:]
+            counts = _OPERAND_COUNTS.get(kind)
+            if counts is None:
+                raise ValueError(f"gate {gid}: kind {kind!r} cannot follow the {n} inputs")
+            if len(ops) not in counts:
+                raise ValueError(f"gate {gid}: wrong operand count {len(ops)} for {kind}")
+            for o in ops:
+                if not 0 <= o < gid:
+                    raise ValueError(f"gate {gid}: operand {o} not before gate")
         for label, gid in self.outputs:
-            if not 0 <= gid < len(self.gates):
+            if not 0 <= gid < len(gates):
                 raise ValueError(f"output {label!r} references unknown gate {gid}")
 
     # -- structure ---------------------------------------------------------
@@ -163,16 +146,10 @@ class Circuit:
         mark = bytearray(len(gates))
         for _, gid in self.outputs:
             mark[gid] = 1
-        for gid in range(len(gates) - 1, -1, -1):
+        for gid in range(len(gates) - 1, self.arity - 1, -1):
             if mark[gid]:
-                gate = gates[gid]
-                kind = gate[0]
-                if kind == AND:
-                    mark[gate[1]] = 1
-                    mark[gate[2]] = 1
-                elif kind == XOR or kind == NOT:
-                    for o in gate[1:]:
-                        mark[o] = 1
+                for o in gates[gid][1:]:
+                    mark[o] = 1
         return mark
 
     def and_count(self) -> int:
@@ -199,59 +176,54 @@ class Circuit:
         """
         gates = self.gates
         last = list(range(len(gates)))
-        for gid, gate in enumerate(gates):
-            if gate[0] in (AND, XOR, NOT):
-                for o in gate[1:]:
-                    last[o] = gid
+        for gid in range(self.arity, len(gates)):
+            for o in gates[gid][1:]:
+                last[o] = gid
         for _, gid in self.outputs:
             last[gid] = len(gates)
         return last
 
-    def output_columns(self, input_columns: Mapping[int, int], width: int) -> list[int]:
+    def output_columns(self, input_columns: Sequence[int], width: int) -> list[int]:
         """Forward pass over bit columns of the given width.
 
-        ``input_columns`` maps a 1-based variable index to its column; bit t
-        of each output column is that output's value at evaluation point t.
-        A gate's column is dropped after its last reader, so only the live
-        set is held at once.
+        ``input_columns[v - 1]`` is the column of x_v; bit t of each output
+        column is that output's value at evaluation point t. A gate's column
+        is dropped after its last reader, so only the live set is held at
+        once.
         """
+        n, gates = self.arity, self.gates
+        if len(input_columns) != n:
+            raise ValueError(f"expected {n} input columns, got {len(input_columns)}")
         ones = full_mask(width)
         last = self._last_uses()
-        cols: list[int | None] = [None] * len(self.gates)
-        for gid, gate in enumerate(self.gates):
-            kind = gate[0]
-            if kind == INPUT:
-                v = input_columns[gate[1]]
-            elif kind == CONST1:
+        cols: list[int | None] = [input_columns[v] for v in range(n)] + [None] * (len(gates) - n)
+        for gid, gate in enumerate(gates[n:], n):
+            kind, ops = gate[0], gate[1:]
+            if kind == AND:
+                v = cols[ops[0]] & cols[ops[1]]
+            elif kind == XOR:
+                v = cols[ops[0]]
+                for o in ops[1:]:
+                    v ^= cols[o]
+            elif kind == NOT:
+                v = cols[ops[0]] ^ ones
+            else:  # CONST1
                 v = ones
-            else:
-                ops = gate[1:]
-                if kind == AND:
-                    v = cols[ops[0]] & cols[ops[1]]
-                elif kind == XOR:
-                    v = cols[ops[0]]
-                    for o in ops[1:]:
-                        v ^= cols[o]
-                else:  # NOT
-                    v = cols[ops[0]] ^ ones
-                for o in ops:
-                    if last[o] == gid:
-                        cols[o] = None
+            for o in ops:
+                if last[o] == gid:
+                    cols[o] = None
             if last[gid] != gid:
                 cols[gid] = v
         return [cols[gid] for _, gid in self.outputs]
 
     def eval(self, bits: Sequence[int]) -> tuple[int, ...]:
         """Evaluate on one input, given as a bit sequence for x_1..x_n."""
-        if len(bits) != self.arity:
-            raise ValueError(f"expected {self.arity} input bits, got {len(bits)}")
-        columns = {v + 1: int(bool(b)) for v, b in enumerate(bits)}
-        return tuple(self.output_columns(columns, 1))
+        return tuple(self.output_columns([int(bool(b)) for b in bits], 1))
 
     def eval_all(self) -> list[TruthTable]:
         """Truth table of every output over all 2^arity inputs."""
         if self.arity > MAX_DENSE_ARITY:
             raise ValueError(f"dense enumeration limited to arity {MAX_DENSE_ARITY}")
-        columns = {v: variable_column(self.arity, v) for v in range(1, self.arity + 1)}
+        columns = [variable_column(self.arity, v) for v in range(1, self.arity + 1)]
         width = 1 << self.arity
         return [TruthTable(self.arity, c) for c in self.output_columns(columns, width)]

@@ -22,6 +22,10 @@ import json
 
 from .circuit import AND, CONST1, INPUT, NOT, XOR, Circuit, CircuitBuilder
 
+# Largest declared input count import_bristol accepts: each declared input
+# becomes a gate before any gate line is read.
+MAX_BRISTOL_INPUTS = 1 << 20
+
 
 class BristolFormatError(ValueError):
     """Raised for malformed Bristol Fashion documents."""
@@ -30,10 +34,10 @@ class BristolFormatError(ValueError):
 def export_bristol(circuit: Circuit) -> str:
     if not circuit.outputs:
         raise ValueError("cannot export a circuit with no outputs")
-    n = circuit.arity
+    n, gates = circuit.arity, circuit.gates
     reach = circuit.reachable()
     lines: list[str] = []
-    wire_of: dict[int, int] = {}
+    wire_of = list(range(n)) + [-1] * (len(gates) - n)  # input x_v is wire v - 1
     next_wire = n
 
     def fresh() -> int:
@@ -47,13 +51,11 @@ def export_bristol(circuit: Circuit) -> str:
     lines.append(f"2 1 0 0 {zero} XOR")
     one_wire: int | None = None
 
-    for gid, gate in enumerate(circuit.gates):
+    for gid, gate in enumerate(gates[n:], n):
         if not reach[gid]:
             continue
         kind = gate[0]
-        if kind == INPUT:
-            wire_of[gid] = gate[1] - 1
-        elif kind == CONST1:
+        if kind == CONST1:
             if one_wire is None:
                 one_wire = fresh()
                 lines.append(f"1 1 {zero} {one_wire} INV")
@@ -110,6 +112,9 @@ def import_bristol(text: str) -> Circuit:
     if len(h1v) != 2:
         raise BristolFormatError(f"line {no1}: header must be '<ngates> <nwires>'")
     ngates, nwires = h1v
+    body = nonempty[3:]
+    if len(body) != ngates:
+        raise BristolFormatError(f"header declares {ngates} gates, found {len(body)}")
     h2v = _ints(h2.split(), no2)
     if not h2v or len(h2v) != h2v[0] + 1:
         raise BristolFormatError(f"line {no2}: bad input group declaration")
@@ -120,17 +125,15 @@ def import_bristol(text: str) -> Circuit:
     n_output_wires = sum(h3v[1:])
     if n_inputs < 1:
         raise BristolFormatError("circuit must declare at least one input wire")
+    if n_inputs > MAX_BRISTOL_INPUTS:
+        raise BristolFormatError(f"{n_inputs} input wires declared, limit {MAX_BRISTOL_INPUTS}")
     if n_output_wires < 1:
         raise BristolFormatError("circuit must declare at least one output wire")
     if nwires < n_inputs + n_output_wires:
         raise BristolFormatError("wire count smaller than declared inputs plus outputs")
 
     builder = CircuitBuilder(n_inputs)
-    wire_map = {w: gid for w, gid in zip(range(n_inputs), builder.add_inputs())}
-
-    body = nonempty[3:]
-    if len(body) != ngates:
-        raise BristolFormatError(f"header declares {ngates} gates, found {len(body)}")
+    wire_map = {w: w for w in range(n_inputs)}  # input wire w is gate w
 
     for no, line in body:
         tokens = line.split()
@@ -188,9 +191,7 @@ def export_dot(circuit: Circuit) -> str:
             label += " (" + ", ".join(labels_by_gid[gid]) + ")"
         shape = " shape=box" if kind == INPUT else ""
         lines.append(f'  g{gid} [label="{label}"{shape}];')
-    for gid, gate in enumerate(circuit.gates):
-        if gate[0] in (INPUT, CONST1):
-            continue
+    for gid, gate in enumerate(circuit.gates[circuit.arity:], circuit.arity):
         for o in gate[1:]:
             lines.append(f"  g{o} -> g{gid};")
     lines.append("}")

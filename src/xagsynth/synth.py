@@ -58,16 +58,23 @@ def _check_n(n: int) -> None:
         raise ValueError(f"n must be at least 3, got {n}")
 
 
+def _inputs(builder: CircuitBuilder, n: int) -> list[int]:
+    """Gate ids of the inputs, indexed 1..n: x[v] is input x_v, gate v - 1."""
+    _check_n(n)
+    if n > builder.arity:
+        raise ValueError(f"builder has {builder.arity} inputs, need {n}")
+    return list(range(-1, n))
+
+
 def build_sigma(builder: CircuitBuilder, n: int) -> SigmaNodes:
     """Build sigma_n, the XOR of all n degree-(n-1) monomials, with n-2 ANDs.
 
-    The builder must already contain inputs x_1..x_n. Odd arities grow two at
-    a time from sigma_3 = ((x_1 XOR x_2) AND (x_2 XOR x_3)) XOR x_2; an even
-    arity tops off the odd sigma_{n-1} with one more AND, and that
-    intermediate node is kept because stage 2 taps it.
+    The builder needs at least n inputs. Odd arities grow two at a time from
+    sigma_3 = ((x_1 XOR x_2) AND (x_2 XOR x_3)) XOR x_2; an even arity tops
+    off the odd sigma_{n-1} with one more AND, and that intermediate node is
+    kept because stage 2 taps it.
     """
-    _check_n(n)
-    x = [0] + [builder.input_id(v) for v in range(1, n + 1)]
+    x = _inputs(builder, n)
 
     top_prefix = n - 1 if n % 2 else n
     prefix = [0, x[1]]
@@ -103,13 +110,13 @@ def build_stage2(builder: CircuitBuilder, n: int, sigma: SigmaNodes) -> Stage2No
     whose value is exactly the monomial x_1...x_{n-1}. Pair sums that stage 1
     built are reused; only the missing ones are added.
     """
-    _check_n(n)
+    x = _inputs(builder, n)
     hi = n - 1 if n % 2 else n - 2
     pairs: dict[int, int] = {}
     for i in range(1, hi + 1):
         pair = sigma.pair_xor.get(i)
         if pair is None:
-            pair = builder.xor(builder.input_id(i), builder.input_id(i + 1))
+            pair = builder.xor(x[i], x[i + 1])
         pairs[i] = builder.and_(pair, sigma.top)
     if n % 2 == 0:
         if sigma.previous is None:
@@ -146,7 +153,7 @@ def build_stage3(builder: CircuitBuilder, n: int, sigma: SigmaNodes,
 
 
 def _build_baseline(builder: CircuitBuilder, n: int) -> list[int]:
-    x = [0] + [builder.input_id(v) for v in range(1, n + 1)]
+    x = _inputs(builder, n)
     p = [0, x[1]]
     for i in range(2, n):
         p.append(builder.and_(p[i - 1], x[i]))
@@ -165,7 +172,6 @@ def synthesize_plan(n: int, construction: str = OPTIMAL) -> SynthesisPlan:
     """Build a circuit for all n leave-one-out products, with bookkeeping."""
     _check_n(n)
     builder = CircuitBuilder(n)
-    builder.add_inputs()
     if construction == OPTIMAL:
         sigma = build_sigma(builder, n)
         c1 = builder.and_gates_created

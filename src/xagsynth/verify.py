@@ -153,17 +153,17 @@ def check_exhaustive(circuit: Circuit, expected_and_count: int | None = None) ->
     return _report(EXHAUSTIVE, circuit, 1 << n, got, expected, point_bits, expected_and_count)
 
 
-def _sample_columns(n: int, count: int, seed: int) -> tuple[dict[int, int], int]:
-    """Per-variable input columns: seeded random bits, then the structured
+def _sample_columns(n: int, count: int, seed: int) -> tuple[list[int], int]:
+    """Input columns for x_1..x_n: seeded random bits, then the structured
     block (all-zeros, all-ones, and each single-zero input)."""
     rng = random.Random(seed)
     width = count + n + 2
     # structured block layout, low to high: all-zeros, all-ones, zero-at-1..n
     ones_except = (1 << (n + 2)) - 2
-    columns = {}
+    columns = []
     for v in range(1, n + 1):
         structured = ones_except ^ (1 << (v + 1))
-        columns[v] = rng.getrandbits(count) | (structured << count)
+        columns.append(rng.getrandbits(count) | (structured << count))
     return columns, width
 
 
@@ -182,10 +182,10 @@ def check_sampled(circuit: Circuit, count: int, seed: int,
         raise ValueError(f"expected {n} outputs, circuit has {len(circuit.outputs)}")
     columns, width = _sample_columns(n, count, seed)
     got = circuit.output_columns(columns, width)
-    expected = leave_one_out_columns([columns[v] for v in range(1, n + 1)], width)
+    expected = leave_one_out_columns(columns, width)
 
     def point_bits(t: int) -> tuple[int, ...]:
-        return tuple((columns[v] >> t) & 1 for v in range(1, n + 1))
+        return tuple((c >> t) & 1 for c in columns)
 
     return _report(SAMPLED, circuit, width, got, expected, point_bits, expected_and_count,
                    sample_count=count, seed=seed)
@@ -284,7 +284,6 @@ def check_lemma_suite(n_max: int) -> LemmaSuiteResult:
         # stage-1 recursion: circuit node matches the n-monomial sum and
         # costs exactly n-2 AND gates on a fresh builder
         builder = CircuitBuilder(n)
-        builder.add_inputs()
         nodes = build_sigma(builder, n)
         circuit = builder.finish([("sigma", nodes.top)])
         got_anf = Anf.from_truth_table(circuit.eval_all()[0])

@@ -69,6 +69,24 @@ def naive_multiply(terms_a, terms_b):
     return {m for m, p in parity.items() if p}
 
 
+def naive_reachable(gates, outputs):
+    """Ids of the gates some output depends on, by depth-first search.
+
+    ``gates`` are plain tuples ``(kind, ...)``; every kind but INPUT lists its
+    operand ids after the kind.
+    """
+    seen = set()
+    stack = [gid for _, gid in outputs]
+    while stack:
+        gid = stack.pop()
+        if gid in seen:
+            continue
+        seen.add(gid)
+        if gates[gid][0] != "INPUT":
+            stack.extend(gates[gid][1:])
+    return seen
+
+
 def leave_one_out_reference(n, bits, i):
     """Output i of the target function: product of all inputs except x_i."""
     return int(all(b for j, b in enumerate(bits, start=1) if j != i))

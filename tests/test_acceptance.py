@@ -58,12 +58,10 @@ def test_criterion_03_stage1_count_and_tables():
     ok = True
     for n in range(3, 1001):
         b = CircuitBuilder(n)
-        b.add_inputs()
         build_sigma(b, n)
         ok = ok and b.and_gates_created == n - 2
     for n in range(3, 15):
         b = CircuitBuilder(n)
-        b.add_inputs()
         nodes = build_sigma(b, n)
         table = b.finish([("s", nodes.top)]).eval_all()[0]
         ok = ok and table == sigma_anf(n).to_truth_table()

@@ -6,36 +6,27 @@ from hypothesis import strategies as st
 
 from xagsynth import AND, CONST1, NOT, XOR, Anf, Circuit, CircuitBuilder, Monomial
 
-from oracles import all_inputs
+from oracles import all_inputs, naive_reachable
 
 
 def sigma3_builder():
     b = CircuitBuilder(3)
-    x1, x2, x3 = b.add_inputs()
+    x1, x2, x3 = 0, 1, 2
     s = b.xor(b.and_(b.xor(x1, x2), b.xor(x2, x3)), x2)
     return b, s
 
 
 class TestBuilder:
-    def test_first_input_gets_id_zero(self):
+    def test_builder_starts_with_inputs(self):
         b = CircuitBuilder(3)
-        assert b.input(1) == 0
-
-    def test_duplicate_input_rejected(self):
-        b = CircuitBuilder(3)
-        b.input(1)
-        with pytest.raises(ValueError):
-            b.input(1)
-
-    def test_input_out_of_range(self):
-        b = CircuitBuilder(3)
-        with pytest.raises(ValueError):
-            b.input(5)
+        c = b.finish([("y", 2)])
+        assert c.gates == (("INPUT", 1), ("INPUT", 2), ("INPUT", 3))
+        assert b.const1() == 3
 
     def test_each_call_appends_next_id(self):
         # append-only: identical calls make distinct gates with dense ids
         b = CircuitBuilder(2)
-        x1, x2 = b.add_inputs()
+        x1, x2 = 0, 1
         ids = [b.xor(x1, x2), b.xor(x1, x2), b.and_(x1, x2), b.and_(x1, x2),
                b.not_(x1), b.not_(x1), b.const1(), b.const1()]
         assert [x1, x2] + ids == list(range(10))
@@ -43,7 +34,7 @@ class TestBuilder:
 
     def test_and_of_same_operand_is_syntactic(self):
         b = CircuitBuilder(1)
-        (x1,) = b.add_inputs()
+        x1 = 0
         g = b.and_(x1, x1)
         assert g != x1
         c = b.finish([("y", g)])
@@ -51,19 +42,18 @@ class TestBuilder:
 
     def test_not_is_complement(self):
         b = CircuitBuilder(1)
-        (x1,) = b.add_inputs()
+        x1 = 0
         c = b.finish([("y", b.not_(x1))])
         assert c.eval([0]) == (1,) and c.eval([1]) == (0,)
 
     def test_unknown_operand_rejected(self):
         b = CircuitBuilder(2)
-        b.add_inputs()
         with pytest.raises(ValueError):
             b.and_(0, 99)
 
     def test_xor_needs_two_operands(self):
         b = CircuitBuilder(2)
-        x1, _ = b.add_inputs()
+        x1 = 0
         with pytest.raises(ValueError):
             b.xor(x1)
 
@@ -91,13 +81,12 @@ class TestEval:
 
     def test_const1_table(self):
         b = CircuitBuilder(2)
-        b.add_inputs()
         c = b.finish([("y", b.const1())])
         assert c.eval_all()[0].values() == [1, 1, 1, 1]
 
     def test_input_passthrough_table(self):
         b = CircuitBuilder(2)
-        x1, _ = b.add_inputs()
+        x1 = 0
         c = b.finish([("y", x1)])
         assert c.eval_all()[0].values() == [0, 1, 0, 1]
 
@@ -109,7 +98,7 @@ class TestEval:
 
     def test_eval_all_arity_cap(self):
         b = CircuitBuilder(25)
-        g = b.input(1)
+        g = 0
         c = b.finish([("y", g)])
         with pytest.raises(ValueError):
             c.eval_all()
@@ -118,7 +107,7 @@ class TestEval:
         # an output also read by a later gate, a repeated operand and an
         # unread gate: no column is dropped while something still needs it
         b = CircuitBuilder(2)
-        x1, x2 = b.add_inputs()
+        x1, x2 = 0, 1
         a = b.and_(x1, x2)
         b.xor(a, x1)  # unread
         sq = b.and_(a, a)
@@ -128,14 +117,14 @@ class TestEval:
     def test_dead_columns_are_released(self):
         width = 1 << 20
         b = CircuitBuilder(1)
-        g = b.input(1)
+        g = 0
         for _ in range(64):
             g = b.not_(g)
         c = b.finish([("y", g)])
         x = (1 << width) - 1
         tracemalloc.start()
         try:
-            (y,) = c.output_columns({1: x}, width)
+            (y,) = c.output_columns([x], width)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -155,14 +144,14 @@ class TestAndCount:
 
     def test_unreachable_ands_excluded(self):
         b = CircuitBuilder(2)
-        x1, x2 = b.add_inputs()
+        x1, x2 = 0, 1
         b.and_(x1, x2)  # dead
         c = b.finish([("y", b.xor(x1, x2))])
         assert c.and_count() == 0
 
     def test_not_and_xor_are_free(self):
         b = CircuitBuilder(2)
-        x1, x2 = b.add_inputs()
+        x1, x2 = 0, 1
         c = b.finish([("y", b.not_(b.xor(x1, x2, b.const1())))])
         assert c.and_count() == 0
 
@@ -173,13 +162,33 @@ class TestStructure:
         b.finish([("s", s)]).validate()
 
     def test_validate_rejects_forward_reference(self):
-        c = Circuit(1, (("AND", 1, 2), ("INPUT", 1)), (("y", 0),))
-        with pytest.raises(ValueError):
+        c = Circuit(1, (("INPUT", 1), ("AND", 0, 2), ("NOT", 0)), (("y", 1),))
+        with pytest.raises(ValueError, match="not before gate"):
             c.validate()
+
+    @pytest.mark.parametrize("gates,match", [
+        ((("INPUT", 1),), "must be the inputs"),  # shorter than the arity
+        ((("INPUT", 2), ("INPUT", 1)), "must be the inputs"),  # prefix out of order
+        ((("INPUT", 1), ("INPUT", 2), ("INPUT", 1)), "cannot follow"),
+        ((("INPUT", 1), ("INPUT", 2), ("CONST1", 0)), "operand count 1 for CONST1"),
+        ((("INPUT", 1), ("INPUT", 2), ("AND", 0, 1, 1)), "operand count 3 for AND"),
+        ((("INPUT", 1), ("INPUT", 2), ("XOR", 0)), "operand count 1 for XOR"),
+        ((("INPUT", 1), ("INPUT", 2), ("OR", 0, 1)), "cannot follow"),
+    ])
+    def test_validate_rejects_malformed_layout(self, gates, match):
+        with pytest.raises(ValueError, match=match):
+            Circuit(2, gates, (("y", 0),)).validate()
+
+    def test_output_columns_rejects_wrong_column_count(self):
+        from xagsynth import synthesize
+        c = synthesize(3)
+        for columns in ([1, 1], [1, 1, 1, 1]):
+            with pytest.raises(ValueError, match="expected 3 input columns"):
+                c.output_columns(columns, 1)
 
     def test_replace_output(self):
         b = CircuitBuilder(2)
-        x1, x2 = b.add_inputs()
+        x1, x2 = 0, 1
         c = b.finish([("y", b.and_(x1, x2))])
         c2 = c.replace_output(0, x1)
         assert c2.eval([1, 0]) == (1,)
@@ -190,7 +199,7 @@ class TestStructure:
 def random_circuits(draw):
     arity = draw(st.integers(min_value=1, max_value=6))
     b = CircuitBuilder(arity)
-    ids = b.add_inputs()
+    ids = list(range(arity))
     for _ in range(draw(st.integers(min_value=1, max_value=12))):
         kind = draw(st.sampled_from(["and", "xor", "not", "const"]))
         pick = lambda: ids[draw(st.integers(min_value=0, max_value=len(ids) - 1))]
@@ -222,12 +231,10 @@ class TestEvalAgreement:
     @settings(max_examples=40, deadline=None)
     def test_not_elimination_preserves_semantics_and_ands(self, c):
         b = CircuitBuilder(c.arity)
-        mapping = {}
-        for gid, gate in enumerate(c.gates):
+        mapping = {v: v for v in range(c.arity)}
+        for gid, gate in enumerate(c.gates[c.arity:], c.arity):
             kind = gate[0]
-            if kind == "INPUT":
-                mapping[gid] = b.input(gate[1])
-            elif kind == CONST1:
+            if kind == CONST1:
                 mapping[gid] = b.const1()
             elif kind == AND:
                 mapping[gid] = b.and_(mapping[gate[1]], mapping[gate[2]])
@@ -245,14 +252,11 @@ class TestEvalAgreement:
         # rebuild the same gate list twice over; the builder keeps a second
         # copy of every non-input gate without changing any output table
         b = CircuitBuilder(c.arity)
-        mapping = {}
+        mapping = {v: v for v in range(c.arity)}
         for _ in range(2):
-            for gid, gate in enumerate(c.gates):
+            for gid, gate in enumerate(c.gates[c.arity:], c.arity):
                 kind = gate[0]
-                if kind == "INPUT":
-                    if gid not in mapping:
-                        mapping[gid] = b.input(gate[1])
-                elif kind == CONST1:
+                if kind == CONST1:
                     mapping[gid] = b.const1()
                 elif kind == NOT:
                     mapping[gid] = b.not_(mapping[gate[1]])
@@ -261,8 +265,13 @@ class TestEvalAgreement:
                 else:
                     mapping[gid] = b.xor(*(mapping[o] for o in gate[1:]))
         c2 = b.finish([(lbl, mapping[g]) for lbl, g in c.outputs])
-        inputs = sum(1 for gate in c.gates if gate[0] == "INPUT")
         assert c2.gates[:len(c.gates)] == c.gates
-        assert len(c2.gates) == 2 * len(c.gates) - inputs
+        assert len(c2.gates) == 2 * len(c.gates) - c.arity
         assert [t.bits for t in c2.eval_all()] == [t.bits for t in c.eval_all()]
         assert c2.and_count() == c.and_count()
+
+    @given(random_circuits())
+    @settings(max_examples=60, deadline=None)
+    def test_reachable_matches_naive_dfs(self, c):
+        got = {gid for gid, m in enumerate(c.reachable()) if m}
+        assert got == naive_reachable(c.gates, c.outputs)

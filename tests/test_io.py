@@ -1,3 +1,6 @@
+import time
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +15,7 @@ from xagsynth import (
     export_dot,
     export_json,
     import_bristol,
+    io_formats,
     synthesize,
 )
 
@@ -28,13 +32,12 @@ class TestBristolExport:
 
     def test_single_not_gives_inv_line(self):
         b = CircuitBuilder(1)
-        (x1,) = b.add_inputs()
+        x1 = 0
         doc = export_bristol(b.finish([("y", b.not_(x1))]))
         assert sum(1 for l in doc.splitlines() if l.endswith(" INV")) == 1
 
     def test_no_outputs_rejected(self):
         b = CircuitBuilder(1)
-        b.add_inputs()
         with pytest.raises(ValueError):
             export_bristol(b.finish([]))
 
@@ -54,7 +57,6 @@ class TestBristolExport:
 
     def test_const1_lowering(self):
         b = CircuitBuilder(1)
-        b.add_inputs()
         c = b.finish([("y", b.const1())])
         imported = import_bristol(export_bristol(c))
         for bits in all_inputs(1):
@@ -74,7 +76,7 @@ class TestBristolRoundTrip:
 
     def test_mixed_gate_kinds(self):
         b = CircuitBuilder(3)
-        x1, x2, x3 = b.add_inputs()
+        x1, x2, x3 = 0, 1, 2
         y = b.xor(b.and_(x1, b.not_(x2)), b.const1(), x3)
         c = b.finish([("y", y)])
         again = import_bristol(export_bristol(c))
@@ -167,6 +169,31 @@ class TestBristolImportErrors:
             import_bristol("x y\n1 2\n1 1\n\n")
 
 
+class TestBristolImportLimits:
+    # two million declared inputs in a 45-byte document
+    @pytest.mark.parametrize("doc,match", [
+        ("1 2000001\n1 2000000\n1 1\n\n2 1 0 1 2000000 AND\n", "limit 1048576"),
+        ("5 2000001\n1 2000000\n1 1\n\n2 1 0 1 2000000 AND\n", "declares 5 gates"),
+    ])
+    def test_oversized_header_refused_before_allocating(self, doc, match):
+        t0 = time.perf_counter()
+        tracemalloc.start()
+        try:
+            with pytest.raises(BristolFormatError, match=match):
+                import_bristol(doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - t0 < 0.5
+        assert peak < 1 << 20
+
+    def test_input_cap_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(io_formats, "MAX_BRISTOL_INPUTS", 4)
+        assert import_bristol("1 6\n1 4\n1 1\n\n2 1 0 3 5 AND\n").arity == 4
+        with pytest.raises(BristolFormatError, match="5 input wires declared, limit 4"):
+            import_bristol("1 7\n1 5\n1 1\n\n2 1 0 4 6 AND\n")
+
+
 class TestDot:
     def test_output_labels_present(self):
         dot = export_dot(synthesize(3, OPTIMAL))
@@ -175,7 +202,7 @@ class TestDot:
 
     def test_sigma_subcircuit_has_one_and_node(self):
         b = CircuitBuilder(3)
-        x1, x2, x3 = b.add_inputs()
+        x1, x2, x3 = 0, 1, 2
         s = b.xor(b.and_(b.xor(x1, x2), b.xor(x2, x3)), x2)
         dot = export_dot(b.finish([("s", s)]))
         assert sum(1 for l in dot.splitlines() if 'label="AND"' in l) == 1

@@ -26,7 +26,6 @@ def anf_of_node(builder, gid):
 
 def fresh_sigma(n):
     b = CircuitBuilder(n)
-    b.add_inputs()
     return b, build_sigma(b, n)
 
 
@@ -72,9 +71,14 @@ class TestSigma:
 
     def test_rejects_small_n(self):
         b = CircuitBuilder(2)
-        b.add_inputs()
         with pytest.raises(ValueError):
             build_sigma(b, 2)
+
+    def test_rejects_builder_with_too_few_inputs(self):
+        b = CircuitBuilder(3)
+        b.xor(0, 1)
+        with pytest.raises(ValueError, match="need 5"):
+            build_sigma(b, 5)
 
 
 class TestStage2:
@@ -131,7 +135,6 @@ class TestStage3:
         assert b.and_gates_created == before
         for i, gid in enumerate(outs, start=1):
             bb = CircuitBuilder(n)
-            bb.add_inputs()
             s = build_sigma(bb, n)
             s2 = build_stage2(bb, n, s)
             o = build_stage3(bb, n, s, s2)[i - 1]
