@@ -29,6 +29,8 @@ gate list.
 from __future__ import annotations
 
 import sys
+from itertools import repeat
+from operator import eq
 from typing import Sequence
 
 from .anf import MAX_DENSE_ARITY, TruthTable
@@ -119,7 +121,8 @@ class Circuit:
     def validate(self) -> None:
         """Check structural invariants; used on import and in tests."""
         n, gates = self.arity, self.gates
-        if tuple(gates[:n]) != tuple((INPUT, v) for v in range(1, n + 1)):
+        # pairwise in C: no copy of the prefix, zip reuses its one tuple
+        if len(gates) < n or not all(map(eq, gates, zip(repeat(INPUT), range(1, n + 1)))):
             raise ValueError(f"gates 0..{n - 1} must be the inputs x1..x{n} in order")
         for gid, gate in enumerate(gates[n:], n):
             kind, ops = gate[0], gate[1:]

@@ -19,8 +19,9 @@ equals the circuit's reachable AND count.
 from __future__ import annotations
 
 import json
+import re
 
-from .circuit import AND, CONST1, INPUT, NOT, XOR, Circuit, CircuitBuilder
+from .circuit import AND, CONST1, INPUT, NOT, XOR, Circuit
 
 # Largest declared input count import_bristol accepts: each declared input
 # becomes a gate before any gate line is read.
@@ -97,13 +98,18 @@ def _ints(tokens: list[str], line_no: int) -> list[int]:
         raise BristolFormatError(f"line {line_no}: expected integers, got {tokens}") from None
 
 
-_OP_ARITY = {"AND": 2, "XOR": 2, "INV": 1}
+# Bristol op -> (gate kind, input wire count)
+_OPS = {"AND": (AND, 2), "XOR": (XOR, 2), "INV": (NOT, 1)}
 
 
 def import_bristol(text: str) -> Circuit:
-    raw = text.splitlines()
-    stripped = [(i + 1, line.strip()) for i, line in enumerate(raw)]
-    nonempty = [(no, line) for no, line in stripped if line]
+    # int() also takes signs, underscores and non-ASCII digits; an ASCII
+    # document free of "+-_" leaves it only runs of ASCII digits.
+    if not text.isascii() or "+" in text or "-" in text or "_" in text:
+        bad = re.search(r"[^\x00-\x7f]|[-+_]", text)
+        no = len((text[:bad.start()] + "x").splitlines())
+        raise BristolFormatError(f"line {no}: unexpected {bad.group()!r}; numbers are ASCII digits")
+    nonempty = [(no, line) for no, line in enumerate(map(str.strip, text.splitlines()), 1) if line]
     if len(nonempty) < 3:
         raise BristolFormatError("missing header lines")
 
@@ -132,44 +138,45 @@ def import_bristol(text: str) -> Circuit:
     if nwires < n_inputs + n_output_wires:
         raise BristolFormatError("wire count smaller than declared inputs plus outputs")
 
-    builder = CircuitBuilder(n_inputs)
-    wire_map = {w: w for w in range(n_inputs)}  # input wire w is gate w
+    gates = [(INPUT, v) for v in range(1, n_inputs + 1)]
+    gate_of: dict[int, int] = {}  # non-input wire -> gate id; input wire w is gate w
 
     for no, line in body:
         tokens = line.split()
         if len(tokens) < 4:
             raise BristolFormatError(f"line {no}: truncated gate line")
         op = tokens[-1]
-        if op not in _OP_ARITY:
+        if op not in _OPS:
             raise BristolFormatError(f"line {no}: unknown op {op!r}")
-        nin, nout = _ints(tokens[:2], no)
-        if nin != _OP_ARITY[op] or nout != 1:
-            raise BristolFormatError(f"line {no}: {op} must have {_OP_ARITY[op]} inputs, 1 output")
-        wires = _ints(tokens[2:-1], no)
-        if len(wires) != nin + 1:
+        kind, arity = _OPS[op]
+        try:
+            nin, nout, *in_wires, out_wire = map(int, tokens[:-1])
+        except ValueError:  # convert group by group, so the message names the bad one
+            nin, nout = _ints(tokens[:2], no)
+            in_wires = None
+        if nin != arity or nout != 1:
+            raise BristolFormatError(f"line {no}: {op} must have {arity} inputs, 1 output")
+        if in_wires is None:
+            _ints(tokens[2:-1], no)  # raises: a wire token is not an integer
+        if len(in_wires) != nin:
             raise BristolFormatError(f"line {no}: expected {nin + 1} wires")
-        *in_wires, out_wire = wires
-        for w in in_wires:
-            if w not in wire_map:
-                raise BristolFormatError(f"line {no}: wire {w} used before definition")
+        ops = [w if w < n_inputs else gate_of.get(w, -1) for w in in_wires]
+        if -1 in ops:
+            w = in_wires[ops.index(-1)]
+            raise BristolFormatError(f"line {no}: wire {w} used before definition")
         if not 0 <= out_wire < nwires:
             raise BristolFormatError(f"line {no}: output wire {out_wire} out of range")
-        if out_wire in wire_map:
+        if out_wire < n_inputs or out_wire in gate_of:
             raise BristolFormatError(f"line {no}: wire {out_wire} defined twice")
-        if op == "AND":
-            gid = builder.and_(wire_map[in_wires[0]], wire_map[in_wires[1]])
-        elif op == "XOR":
-            gid = builder.xor(wire_map[in_wires[0]], wire_map[in_wires[1]])
-        else:
-            gid = builder.not_(wire_map[in_wires[0]])
-        wire_map[out_wire] = gid
+        gate_of[out_wire] = len(gates)
+        gates.append((kind, *ops))
 
     outputs = []
     for k, w in enumerate(range(nwires - n_output_wires, nwires), start=1):
-        if w not in wire_map:
+        if w not in gate_of:
             raise BristolFormatError(f"output wire {w} is never driven")
-        outputs.append((f"o{k}", wire_map[w]))
-    circuit = builder.finish(outputs)
+        outputs.append((f"o{k}", gate_of[w]))
+    circuit = Circuit(n_inputs, tuple(gates), tuple(outputs))
     circuit.validate()
     return circuit
 
@@ -198,21 +205,27 @@ def export_dot(circuit: Circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json_list(items: list[str]) -> str:
+    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+
+
 def export_json(circuit: Circuit, construction: str | None = None) -> str:
+    """The circuit as the JSON document that ``json.dumps`` with ``indent=2``
+    writes, byte for byte, built without json's pure-Python indent encoder;
+    only the free-text values pass through ``json.dumps``."""
     gates = []
     for gid, gate in enumerate(circuit.gates):
         kind = gate[0]
-        entry: dict = {"id": gid, "kind": kind}
         if kind == INPUT:
-            entry["var"] = gate[1]
-        elif kind != CONST1:
-            entry["operands"] = list(gate[1:])
-        gates.append(entry)
-    doc = {
-        "arity": circuit.arity,
-        "construction": construction,
-        "and_count": circuit.and_count(),
-        "gates": gates,
-        "outputs": [{"label": label, "id": gid} for label, gid in circuit.outputs],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+            tail = f',\n      "var": {gate[1]}'
+        elif kind == CONST1:
+            tail = ""
+        else:
+            ops = ",\n        ".join(map(str, gate[1:]))
+            tail = f',\n      "operands": [\n        {ops}\n      ]'
+        gates.append(f'    {{\n      "id": {gid},\n      "kind": "{kind}"{tail}\n    }}')
+    outputs = [f'    {{\n      "label": {json.dumps(label)},\n      "id": {gid}\n    }}'
+               for label, gid in circuit.outputs]
+    return (f'{{\n  "arity": {circuit.arity},\n  "construction": {json.dumps(construction)},\n'
+            f'  "and_count": {circuit.and_count()},\n  "gates": {_json_list(gates)},\n'
+            f'  "outputs": {_json_list(outputs)}\n}}\n')

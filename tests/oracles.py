@@ -5,6 +5,7 @@ variable-index tuples, tables are plain lists, and every transform is the
 direct definition (subset sums, pairwise expansion), not the fast path.
 """
 
+import json
 from itertools import product
 
 
@@ -85,6 +86,28 @@ def naive_reachable(gates, outputs):
         if gates[gid][0] != "INPUT":
             stack.extend(gates[gid][1:])
     return seen
+
+
+def json_dumps_circuit(circuit, construction=None):
+    """The JSON circuit document as ``json.dumps(doc, indent=2)`` writes it:
+    the byte oracle for ``export_json``."""
+    gates = []
+    for gid, gate in enumerate(circuit.gates):
+        entry = {"id": gid, "kind": gate[0]}
+        if gate[0] == "INPUT":
+            entry["var"] = gate[1]
+        elif gate[0] != "CONST1":
+            entry["operands"] = list(gate[1:])
+        gates.append(entry)
+    reach = naive_reachable(circuit.gates, circuit.outputs)
+    doc = {
+        "arity": circuit.arity,
+        "construction": construction,
+        "and_count": sum(1 for gid in reach if circuit.gates[gid][0] == "AND"),
+        "gates": gates,
+        "outputs": [{"label": label, "id": gid} for label, gid in circuit.outputs],
+    }
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def leave_one_out_reference(n, bits, i):

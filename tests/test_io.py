@@ -1,3 +1,6 @@
+import hashlib
+import json
+import re
 import time
 import tracemalloc
 
@@ -19,7 +22,7 @@ from xagsynth import (
     synthesize,
 )
 
-from oracles import all_inputs
+from oracles import all_inputs, json_dumps_circuit
 
 
 def and_lines(doc):
@@ -88,6 +91,13 @@ class TestBristolRoundTrip:
         doc = export_bristol(synthesize(n, OPTIMAL))
         assert len(and_lines(doc)) == 2 * n - 3
 
+    def test_wires_map_to_gates_in_definition_order(self):
+        # wire 3 is defined first (gate 2), wire 2 second (gate 3)
+        doc = "3 5\n1 2\n1 1\n\n2 1 0 1 3 AND\n2 1 3 1 2 XOR\n2 1 2 0 4 AND\n"
+        c = import_bristol(doc)
+        assert c.gates[2:] == (("AND", 0, 1), ("XOR", 2, 1), ("AND", 3, 0))
+        assert c.outputs == (("o1", 4),)
+
     def test_repeated_and_line_is_kept_and_counted(self):
         doc = "2 4\n1 2\n2 1 1\n\n2 1 0 1 2 AND\n2 1 0 1 3 AND\n"
         c = import_bristol(doc)
@@ -98,7 +108,8 @@ class TestBristolRoundTrip:
 _FUZZ_DOCS = [export_bristol(synthesize(n, c))
               for n, c in [(3, OPTIMAL), (4, BASELINE), (5, OPTIMAL)]]
 _FUZZ_TOKENS = st.one_of(st.integers(-2, 48).map(str),
-                         st.sampled_from(["AND", "XOR", "INV", "EQW", "x", "1.5", ""]))
+                         st.sampled_from(["AND", "XOR", "INV", "EQW", "x", "1.5", "",
+                                          "+1", "0_1", "\u0661", "-0", "9" * 5000]))
 
 
 @st.composite
@@ -168,6 +179,17 @@ class TestBristolImportErrors:
         with pytest.raises(BristolFormatError):
             import_bristol("x y\n1 2\n1 1\n\n")
 
+    # int() reads each of these as a number; the grammar takes ASCII digits only
+    @pytest.mark.parametrize("doc,message", [
+        ("1 4\n1 2\n1 1\n\n2 1 0 +1 3 AND\n", "line 5: unexpected '+'"),
+        ("1 4\n1 2\n1 1\n\n2 1 0_0 1 3 AND\n", "line 5: unexpected '_'"),
+        ("1 4\n1 2\n1 1\n\n2 1 0 \u0661 3 AND\n", "line 5: unexpected '\u0661'"),
+        ("1 4\n2 3 -1\n1 1\n\n2 1 0 1 3 AND\n", "line 2: unexpected '-'"),
+    ])
+    def test_non_canonical_integer(self, doc, message):
+        with pytest.raises(BristolFormatError, match=re.escape(message)):
+            import_bristol(doc)
+
 
 class TestBristolImportLimits:
     # two million declared inputs in a 45-byte document
@@ -186,6 +208,17 @@ class TestBristolImportLimits:
             tracemalloc.stop()
         assert time.perf_counter() - t0 < 0.5
         assert peak < 1 << 20
+
+    def test_input_cap_imports_in_bounded_memory(self):
+        doc = "1 1048577\n1 1048576\n1 1\n\n2 1 0 1 1048576 AND\n"
+        tracemalloc.start()
+        try:
+            circuit = import_bristol(doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert circuit.arity == 1 << 20 and circuit.and_count() == 1
+        assert peak < 128 << 20
 
     def test_input_cap_is_inclusive(self, monkeypatch):
         monkeypatch.setattr(io_formats, "MAX_BRISTOL_INPUTS", 4)
@@ -228,3 +261,43 @@ class TestJson:
     def test_deterministic(self):
         c = synthesize(4, BASELINE)
         assert export_json(c) == export_json(c)
+
+    # sha256 of export_json(synthesize(n, c), c), recorded from the json.dumps writer
+    @pytest.mark.parametrize("n,construction,digest", [
+        (3, OPTIMAL, "72aca4ecdd49e8a77f6c41b40cc0443fb565aa0895ca9aba455b7b48dd303b57"),
+        (4, OPTIMAL, "cec3ef0381b953fe14be191514a527301484de4595cb0e34374307fe6baf5322"),
+        (5, OPTIMAL, "534b19712668a351d6c64aab1423c72061fa779225ddbdc0cd21dff949e0fb51"),
+        (6, OPTIMAL, "60f0ffd0c52085898844da79211c54bca6bbee07f2eb9c95c959c1247b241120"),
+        (37, OPTIMAL, "e7c5fa0274235efaea3b0b442c20824823bb4e3da7e6fba342ae139f277cea0a"),
+        (1000, OPTIMAL, "d8476888f395d88fc17928fbd56ea1a72c51d52fd60a00f1f63eb249ddab80a6"),
+        (3, BASELINE, "345b40fe09314cb9da9f22b9b07d7d98f22efd528fd997682b0c4aa96d71f63a"),
+        (4, BASELINE, "2fc605288aaee9a4970612545c625fce23e8cb3531f81b40668732c48ae67e9f"),
+        (5, BASELINE, "f7c40929a6ca348134ad3e133e80556669d4d183019b8f0d1e0fe67c822361c0"),
+        (6, BASELINE, "8d31e203f528336ee5f6d875159364905f9966689b727c1e4c073318eb892843"),
+        (37, BASELINE, "48465ebc0f870d447a47d35adbb3cde97d838ed0831bda6d60099976500264b8"),
+        (1000, BASELINE, "261d43a102b779ea1cf05749f3eaccbec98658ab3f9626acdcc14273719b6f53"),
+    ])
+    def test_bytes_pinned(self, n, construction, digest):
+        text = export_json(synthesize(n, construction), construction)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("n", [*range(3, 41), 1000, 1001])
+    @pytest.mark.parametrize("construction", [OPTIMAL, BASELINE])
+    def test_matches_json_dumps(self, n, construction):
+        c = synthesize(n, construction)
+        assert export_json(c, construction) == json_dumps_circuit(c, construction)
+
+    @pytest.mark.parametrize("construction", [None, "weird\u2028", 'q"\\'])
+    def test_edge_cases_match_json_dumps(self, construction):
+        b = CircuitBuilder(3)
+        y = b.xor(b.and_(0, b.not_(1)), b.const1(), 2)
+        c = b.finish([('a"b\\c\u00e9\nd', y), ("x2", 1)])
+        text = export_json(c, construction)
+        assert text == json_dumps_circuit(c, construction)
+        assert json.loads(text)["outputs"][0]["label"] == 'a"b\\c\u00e9\nd'
+
+    def test_no_outputs(self):
+        c = CircuitBuilder(2).finish([])
+        text = export_json(c)
+        assert text == json_dumps_circuit(c)
+        assert '"outputs": []\n}' in text
