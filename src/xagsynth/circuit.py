@@ -6,13 +6,13 @@ have strictly smaller ids, so id order is a topological order. AND gates are
 binary; XOR gates take two or more operands and are lowered to binary chains
 only at export time; NOT is x XOR 1 and never counts toward the AND total.
 
-Layout: a circuit of arity n starts with its n inputs, so input x_v is gate
-v - 1, as in Bristol Fashion where inputs are wires 0..n-1. Every later gate
-is ``(kind, *operand ids)`` with kind CONST1, AND, XOR or NOT; no INPUT gate
-follows the prefix. :meth:`Circuit.validate` enforces this, and every walk
-over the gates relies on it: evaluation and export seed the first n gates
-from the inputs, and a walk along edges reads ``gate[1:]`` of the later
-gates as operands without asking for the kind.
+Layout: every gate is ``(kind, *operand ids)``. A circuit of arity n starts
+with its n inputs, each the operand-free ``(INPUT,)``, so input x_v is known
+only by its position: it is gate v - 1, as in Bristol Fashion where inputs
+are wires 0..n-1. Every later gate has kind CONST1, AND, XOR or NOT.
+:meth:`Circuit.validate` enforces this, and every walk over the gates relies
+on it: evaluation and export seed the first n gates from the inputs, and a
+walk along edges reads ``gate[1:]`` as operands without asking for the kind.
 
 The builder is append-only: it starts with the n inputs, every later call
 adds exactly one gate and returns its id, and nothing is shared behind the
@@ -29,8 +29,6 @@ gate list.
 from __future__ import annotations
 
 import sys
-from itertools import repeat
-from operator import eq
 from typing import Sequence
 
 from .anf import MAX_DENSE_ARITY, TruthTable
@@ -42,9 +40,8 @@ AND = "AND"
 XOR = "XOR"
 NOT = "NOT"
 
-# Gates are plain tuples. Gates 0..arity-1 are (INPUT, 1)..(INPUT, arity);
-# after them come (CONST1,), (AND, a, b), (XOR, op1, op2, ...) and (NOT, a),
-# so gate[1:] of every non-input gate is its operand ids.
+# Gates are plain tuples (kind, *operand ids): gates 0..arity-1 are (INPUT,),
+# then come (CONST1,), (AND, a, b), (XOR, op1, op2, ...) and (NOT, a).
 Gate = tuple
 
 # Operand counts allowed for each kind that may follow the inputs.
@@ -64,7 +61,7 @@ class CircuitBuilder:
         if arity < 1:
             raise ValueError("arity must be at least 1")
         self.arity = arity
-        self._gates: list[Gate] = [(INPUT, v) for v in range(1, arity + 1)]
+        self._gates: list[Gate] = [(INPUT,)] * arity
         self.and_gates_created = 0
 
     def _check_operand(self, gid: int) -> None:
@@ -121,9 +118,8 @@ class Circuit:
     def validate(self) -> None:
         """Check structural invariants; used on import and in tests."""
         n, gates = self.arity, self.gates
-        # pairwise in C: no copy of the prefix, zip reuses its one tuple
-        if len(gates) < n or not all(map(eq, gates, zip(repeat(INPUT), range(1, n + 1)))):
-            raise ValueError(f"gates 0..{n - 1} must be the inputs x1..x{n} in order")
+        if len(gates) < n or gates[:n].count((INPUT,)) != n:
+            raise ValueError(f"gates 0..{n - 1} must be the inputs x1..x{n}")
         for gid, gate in enumerate(gates[n:], n):
             kind, ops = gate[0], gate[1:]
             counts = _OPERAND_COUNTS.get(kind)

@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 
 from .io_formats import export_bristol, export_dot, export_json
 from .synth import BASELINE, OPTIMAL, degree_lower_bound, synthesize, synthesize_plan
@@ -28,11 +27,13 @@ EXIT_USAGE = 2
 def write_text_atomic(path: str, text: str) -> None:
     """Write via a temp file in the same directory, then rename.
 
-    An ``OSError`` is re-raised naming ``path``, never the temp file.
+    The file gets the mode a plain ``open()`` would create it with: 0o666
+    less the umask. An ``OSError`` is re-raised naming ``path``, never the
+    temp file.
     """
-    directory = os.path.dirname(os.path.abspath(path))
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp-{os.urandom(8).hex()}")
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "w") as fh:
                 fh.write(text)

@@ -24,7 +24,8 @@ import re
 from .circuit import AND, CONST1, INPUT, NOT, XOR, Circuit
 
 # Largest declared input count import_bristol accepts: each declared input
-# becomes a gate before any gate line is read.
+# becomes one slot of the gate list, all holding the one shared (INPUT,),
+# before any gate line is read.
 MAX_BRISTOL_INPUTS = 1 << 20
 
 
@@ -92,10 +93,15 @@ def export_bristol(circuit: Circuit) -> str:
 
 
 def _ints(tokens: list[str], line_no: int) -> list[int]:
-    try:
-        return [int(t) for t in tokens]
-    except ValueError:
-        raise BristolFormatError(f"line {line_no}: expected integers, got {tokens}") from None
+    values = []
+    for t in tokens:
+        try:
+            values.append(int(t))
+        except ValueError:  # also a digit run past int()'s length limit
+            more = f" ({len(t)} characters)" if len(t) > 20 else ""
+            raise BristolFormatError(
+                f"line {line_no}: expected an integer, got {t[:20]!r}{more}") from None
+    return values
 
 
 # Bristol op -> (gate kind, input wire count)
@@ -138,7 +144,7 @@ def import_bristol(text: str) -> Circuit:
     if nwires < n_inputs + n_output_wires:
         raise BristolFormatError("wire count smaller than declared inputs plus outputs")
 
-    gates = [(INPUT, v) for v in range(1, n_inputs + 1)]
+    gates = [(INPUT,)] * n_inputs
     gate_of: dict[int, int] = {}  # non-input wire -> gate id; input wire w is gate w
 
     for no, line in body:
@@ -189,11 +195,12 @@ def export_dot(circuit: Circuit) -> str:
     of the same circuit are byte-identical."""
     labels_by_gid: dict[int, list[str]] = {}
     for label, gid in circuit.outputs:
+        label = label.replace("\\", "\\\\").replace('"', '\\"')  # inside a quoted DOT string
         labels_by_gid.setdefault(gid, []).append(label)
     lines = ["digraph circuit {", "  rankdir=LR;"]
     for gid, gate in enumerate(circuit.gates):
         kind = gate[0]
-        label = f"x{gate[1]}" if kind == INPUT else _DOT_LABEL[kind]
+        label = f"x{gid + 1}" if kind == INPUT else _DOT_LABEL[kind]
         if gid in labels_by_gid:
             label += " (" + ", ".join(labels_by_gid[gid]) + ")"
         shape = " shape=box" if kind == INPUT else ""
@@ -217,7 +224,7 @@ def export_json(circuit: Circuit, construction: str | None = None) -> str:
     for gid, gate in enumerate(circuit.gates):
         kind = gate[0]
         if kind == INPUT:
-            tail = f',\n      "var": {gate[1]}'
+            tail = f',\n      "var": {gid + 1}'
         elif kind == CONST1:
             tail = ""
         else:

@@ -73,8 +73,7 @@ def naive_multiply(terms_a, terms_b):
 def naive_reachable(gates, outputs):
     """Ids of the gates some output depends on, by depth-first search.
 
-    ``gates`` are plain tuples ``(kind, ...)``; every kind but INPUT lists its
-    operand ids after the kind.
+    ``gates`` are plain tuples ``(kind, *operand ids)``; an input has none.
     """
     seen = set()
     stack = [gid for _, gid in outputs]
@@ -83,8 +82,7 @@ def naive_reachable(gates, outputs):
         if gid in seen:
             continue
         seen.add(gid)
-        if gates[gid][0] != "INPUT":
-            stack.extend(gates[gid][1:])
+        stack.extend(gates[gid][1:])
     return seen
 
 
@@ -95,7 +93,7 @@ def json_dumps_circuit(circuit, construction=None):
     for gid, gate in enumerate(circuit.gates):
         entry = {"id": gid, "kind": gate[0]}
         if gate[0] == "INPUT":
-            entry["var"] = gate[1]
+            entry["var"] = gid + 1
         elif gate[0] != "CONST1":
             entry["operands"] = list(gate[1:])
         gates.append(entry)

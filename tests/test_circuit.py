@@ -20,7 +20,7 @@ class TestBuilder:
     def test_builder_starts_with_inputs(self):
         b = CircuitBuilder(3)
         c = b.finish([("y", 2)])
-        assert c.gates == (("INPUT", 1), ("INPUT", 2), ("INPUT", 3))
+        assert c.gates == (("INPUT",),) * 3
         assert b.const1() == 3
 
     def test_each_call_appends_next_id(self):
@@ -162,18 +162,19 @@ class TestStructure:
         b.finish([("s", s)]).validate()
 
     def test_validate_rejects_forward_reference(self):
-        c = Circuit(1, (("INPUT", 1), ("AND", 0, 2), ("NOT", 0)), (("y", 1),))
+        c = Circuit(1, (("INPUT",), ("AND", 0, 2), ("NOT", 0)), (("y", 1),))
         with pytest.raises(ValueError, match="not before gate"):
             c.validate()
 
     @pytest.mark.parametrize("gates,match", [
-        ((("INPUT", 1),), "must be the inputs"),  # shorter than the arity
-        ((("INPUT", 2), ("INPUT", 1)), "must be the inputs"),  # prefix out of order
-        ((("INPUT", 1), ("INPUT", 2), ("INPUT", 1)), "cannot follow"),
-        ((("INPUT", 1), ("INPUT", 2), ("CONST1", 0)), "operand count 1 for CONST1"),
-        ((("INPUT", 1), ("INPUT", 2), ("AND", 0, 1, 1)), "operand count 3 for AND"),
-        ((("INPUT", 1), ("INPUT", 2), ("XOR", 0)), "operand count 1 for XOR"),
-        ((("INPUT", 1), ("INPUT", 2), ("OR", 0, 1)), "cannot follow"),
+        ((("INPUT",),), "must be the inputs"),  # shorter than the arity
+        ((("INPUT", 1), ("INPUT", 2)), "must be the inputs"),  # old ("INPUT", v) format
+        ((("INPUT",), ("INPUT",), ("INPUT",)), "cannot follow"),
+        ((("INPUT",), ("INPUT",), ("CONST1", 0)), "operand count 1 for CONST1"),
+        ((("INPUT",), ("INPUT",), ("AND", 0, 1, 1)), "operand count 3 for AND"),
+        ((("INPUT",), ("INPUT",), ("XOR", 0)), "operand count 1 for XOR"),
+        ((("INPUT",), ("INPUT",), ("OR", 0, 1)), "cannot follow"),
+        ((("INPUT",), ("CONST1",)), "must be the inputs"),  # a non-input in the prefix
     ])
     def test_validate_rejects_malformed_layout(self, gates, match):
         with pytest.raises(ValueError, match=match):

@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 
 import pytest
 
@@ -104,3 +106,23 @@ class TestIOErrors:
         err = capsys.readouterr().err
         assert str(target) in err and ".tmp-" not in err
         assert not list(tmp_path.rglob(".tmp-*"))
+
+
+class TestFileMode:
+    # a written file gets 0o666 less the umask, as a plain open() would
+    # create it, whether it is new or replaces an existing file
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+    @pytest.mark.parametrize("argv", [["synth", "--n", "5", "--out"],
+                                      ["verify", "--n", "5", "--report"]])
+    def test_mode_follows_umask(self, tmp_path, umask, argv):
+        new, existing = tmp_path / "new", tmp_path / "existing"
+        old = os.umask(umask)
+        try:
+            existing.write_text("old")
+            assert cli(argv + [str(new)]) == 0
+            assert cli(argv + [str(existing)]) == 0
+        finally:
+            os.umask(old)
+        for path in (new, existing):
+            assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
+        assert existing.read_text() == new.read_text() != "old"

@@ -29,6 +29,36 @@ def and_lines(doc):
     return [l for l in doc.splitlines() if l.endswith(" AND")]
 
 
+# sha256 of export_bristol and export_dot of synthesize(n, c), recorded when
+# input gates still carried their variable as ("INPUT", v)
+_PINNED_BRISTOL_DOT = [
+    (3, OPTIMAL, "ade57c7cbf445607f3f2a1bd95b165b07c977b9fa946b3e1e5f8a9147df38050",
+     "b312ffc917cdf582d4393cc9a16a43df92b8aeeee5551719e4c16fb95ae7320c"),
+    (4, OPTIMAL, "38497ad7b66ba69d2884d4dc3a30d1fa62b4a1a21306a15831764e199f175b67",
+     "40f5745372c32de112b13a6cca73c7d31fae18dd894671998f9f31ce198153f3"),
+    (5, OPTIMAL, "a839e643a9c0d9d0b1bd0055c743684d0fc365dc3c15fa6e90d914de4423def8",
+     "377a755e00583997189471a8c55d057590c97fa0d7e5e468870042ea614cec9e"),
+    (6, OPTIMAL, "b7266944e22c58556112aff8958f799e11a6bb486639203e062e9ebef3f69c83",
+     "6aaeab60508c5a1549eb436dd2f6e2e7417b73b5bfa52c0c9b8e22df3604d97d"),
+    (37, OPTIMAL, "5dd27b71e08f655cf8f29d70f582edb523b825bf1ba5a0b0fb4b18981b768c7e",
+     "3769720fca3a814d87d8ba1609d8bb21a505f3510bf80bf2f93d2c55978d4759"),
+    (1000, OPTIMAL, "f0d4b1461dfd2fcc9a4787887163b790e679b0f0c8e9d7198bcdf728ba2400c6",
+     "a9561d870f3d7893765fe01487f7f63bdbe5f946755cc027d3fb1fc263b11b3a"),
+    (3, BASELINE, "a2c3a27fbc4b175804aa04342b31b6d0b94f327b68eaf7a0f3fae91eb62fcec4",
+     "55f6a2470003e44dab2b23cecad800b595f7c9e4af2fce9f1331ea3b9fc3db1d"),
+    (4, BASELINE, "c68d5ac254bbc748cb7c745aae639d7fa8439b8102e2959d0e308512ff652738",
+     "6ebd47617237edfa62bf831c6417c7902b4ab8d4b7b2de4e0842ed4b3a18f925"),
+    (5, BASELINE, "e1f4eee015f5bfcdd8231a172e194727e6d0ba1089d919ec1207859203c0350e",
+     "149abbfac14fe90ecee0c8af3b6223ae41317a7d8534bd403fca0ba7031f23c7"),
+    (6, BASELINE, "a7dfced8a8d6cf13142d1ef4ea58384ef1ee41f9d716c9197d1619075da216af",
+     "057f8229e0b20212066903c1bf9fe3da8756ffe1043acacb5e4f6e699662bb6d"),
+    (37, BASELINE, "5f694adeb5e13878530ea9b7e034c7c2015e2a74009ff4562c117d3ab44dd4f4",
+     "222761d64b740999a2f3b77f11874504907f627baadc6e85d4592934e7f7dc2b"),
+    (1000, BASELINE, "561d888481c12b16ce8e5ad07da027248154709ecdeae9b255c7976d9b5f6b80",
+     "7f4fec6898331fb04117b557fa7ff7e0057f578cb4f23a053ed53a8f7998a58b"),
+]
+
+
 class TestBristolExport:
     def test_n3_optimal_has_three_and_lines(self):
         assert len(and_lines(export_bristol(synthesize(3, OPTIMAL)))) == 3
@@ -57,6 +87,12 @@ class TestBristolExport:
     def test_deterministic(self):
         c = synthesize(6, BASELINE)
         assert export_bristol(c) == export_bristol(c)
+
+    @pytest.mark.parametrize("n,construction,bristol,dot", _PINNED_BRISTOL_DOT)
+    def test_bytes_pinned(self, n, construction, bristol, dot):
+        c = synthesize(n, construction)
+        assert hashlib.sha256(export_bristol(c).encode()).hexdigest() == bristol
+        assert hashlib.sha256(export_dot(c).encode()).hexdigest() == dot
 
     def test_const1_lowering(self):
         b = CircuitBuilder(1)
@@ -95,7 +131,7 @@ class TestBristolRoundTrip:
         # wire 3 is defined first (gate 2), wire 2 second (gate 3)
         doc = "3 5\n1 2\n1 1\n\n2 1 0 1 3 AND\n2 1 3 1 2 XOR\n2 1 2 0 4 AND\n"
         c = import_bristol(doc)
-        assert c.gates[2:] == (("AND", 0, 1), ("XOR", 2, 1), ("AND", 3, 0))
+        assert c.gates == (("INPUT",), ("INPUT",), ("AND", 0, 1), ("XOR", 2, 1), ("AND", 3, 0))
         assert c.outputs == (("o1", 4),)
 
     def test_repeated_and_line_is_kept_and_counted(self):
@@ -179,6 +215,21 @@ class TestBristolImportErrors:
         with pytest.raises(BristolFormatError):
             import_bristol("x y\n1 2\n1 1\n\n")
 
+    # a digit run past int()'s length limit: the message names the line and
+    # the token, cut short, instead of echoing the whole line
+    @pytest.mark.parametrize("doc,line", [
+        ("9" * 5000 + " 4\n1 2\n1 1\n\n2 1 0 1 3 AND\n", 1),
+        ("1 4\n1 " + "9" * 5000 + "\n1 1\n\n2 1 0 1 3 AND\n", 2),
+        ("1 4\n1 2\n1 1\n\n2 1 0 " + "9" * 5000 + " 3 AND\n", 5),
+        ("1 4\n1 2\n1 1\n\n2 " + "9" * 5000 + " 0 1 3 AND\n", 5),
+    ], ids=["header", "input-group", "wire", "wire-count"])
+    def test_overlong_number_message_is_short(self, doc, line):
+        with pytest.raises(BristolFormatError) as info:
+            import_bristol(doc)
+        message = str(info.value)
+        assert message.startswith(f"line {line}: expected an integer, got '9999")
+        assert "(5000 characters)" in message and len(message) < 200
+
     # int() reads each of these as a number; the grammar takes ASCII digits only
     @pytest.mark.parametrize("doc,message", [
         ("1 4\n1 2\n1 1\n\n2 1 0 +1 3 AND\n", "line 5: unexpected '+'"),
@@ -218,7 +269,7 @@ class TestBristolImportLimits:
         finally:
             tracemalloc.stop()
         assert circuit.arity == 1 << 20 and circuit.and_count() == 1
-        assert peak < 128 << 20
+        assert peak < 32 << 20
 
     def test_input_cap_is_inclusive(self, monkeypatch):
         monkeypatch.setattr(io_formats, "MAX_BRISTOL_INPUTS", 4)
@@ -243,6 +294,13 @@ class TestDot:
     def test_deterministic(self):
         c = synthesize(5, OPTIMAL)
         assert export_dot(c) == export_dot(c)
+
+    def test_label_quotes_and_backslashes_escaped(self):
+        b = CircuitBuilder(2)
+        c = b.finish([('a"b', b.and_(0, 1)), ("c\\d", 1)])
+        lines = export_dot(c).splitlines()
+        assert '  g1 [label="x2 (c\\\\d)" shape=box];' in lines
+        assert '  g2 [label="AND (a\\"b)"];' in lines
 
 
 class TestJson:
