@@ -1,7 +1,7 @@
 """AND-optimal XOR-AND circuits for all leave-one-out products of n inputs."""
 
 from .anf import Anf, Monomial, TruthTable
-from .circuit import AND, CONST1, INPUT, NOT, XOR, Circuit, CircuitBuilder
+from .circuit import AND, INPUT, NOT, XOR, Circuit, CircuitBuilder
 from .io_formats import (
     BristolFormatError,
     export_bristol,
@@ -37,7 +37,6 @@ __all__ = [
     "Monomial",
     "TruthTable",
     "AND",
-    "CONST1",
     "INPUT",
     "NOT",
     "XOR",

@@ -52,10 +52,6 @@ class Monomial:
     def degree(self) -> int:
         return self.mask.bit_count()
 
-    def evaluate(self, point: int) -> int:
-        """Value at a point given as an input bitmask (bit j-1 = x_j)."""
-        return int(self.mask & ~point == 0)
-
     def __str__(self) -> str:
         if self.mask == 0:
             return "1"
@@ -163,18 +159,6 @@ class Anf:
     def degree(self) -> int:
         """Largest monomial degree; 0 for the zero polynomial."""
         return max((m.degree for m in self.terms), default=0)
-
-    def evaluate(self, bits: Sequence[int]) -> int:
-        if len(bits) != self.arity:
-            raise ValueError(f"expected {self.arity} input bits, got {len(bits)}")
-        point = 0
-        for j, b in enumerate(bits):
-            if b:
-                point |= 1 << j
-        out = 0
-        for m in self.terms:
-            out ^= m.evaluate(point)
-        return out
 
     # -- truth-table conversion --------------------------------------------
 

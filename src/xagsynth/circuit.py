@@ -1,15 +1,16 @@
 """XOR-AND graph circuits.
 
-A circuit is an append-only DAG of gates over {INPUT, CONST1, AND, XOR, NOT}.
-Gate ids are dense and assigned in creation order, and every gate's operands
-have strictly smaller ids, so id order is a topological order. AND gates are
-binary; XOR gates take two or more operands and are lowered to binary chains
-only at export time; NOT is x XOR 1 and never counts toward the AND total.
+A circuit is an append-only DAG: its inputs, then gates over the basis
+{AND, XOR, NOT}, in which a constant 1 is NOT(XOR(x, x)). Gate ids are dense
+and assigned in creation order, and every gate's operands have strictly
+smaller ids, so id order is a topological order. AND gates are binary; XOR
+gates take two or more operands and are lowered to binary chains only at
+export time; NOT is x XOR 1 and never counts toward the AND total.
 
 Layout: every gate is ``(kind, *operand ids)``. A circuit of arity n starts
 with its n inputs, each the operand-free ``(INPUT,)``, so input x_v is known
 only by its position: it is gate v - 1, as in Bristol Fashion where inputs
-are wires 0..n-1. Every later gate has kind CONST1, AND, XOR or NOT.
+are wires 0..n-1. Every later gate has kind AND, XOR or NOT.
 :meth:`Circuit.validate` enforces this, and every walk over the gates relies
 on it: evaluation and export seed the first n gates from the inputs, and a
 walk along edges reads ``gate[1:]`` as operands without asking for the kind.
@@ -35,26 +36,24 @@ from .anf import MAX_DENSE_ARITY, TruthTable
 from .bitops import full_mask, variable_column
 
 INPUT = "INPUT"
-CONST1 = "CONST1"
 AND = "AND"
 XOR = "XOR"
 NOT = "NOT"
 
 # Gates are plain tuples (kind, *operand ids): gates 0..arity-1 are (INPUT,),
-# then come (CONST1,), (AND, a, b), (XOR, op1, op2, ...) and (NOT, a).
+# then come gates of the basis: (AND, a, b), (XOR, op1, op2, ...) and (NOT, a).
 Gate = tuple
 
 # Operand counts allowed for each kind that may follow the inputs.
-_OPERAND_COUNTS = {CONST1: range(1), AND: range(2, 3), XOR: range(2, sys.maxsize),
-                   NOT: range(1, 2)}
+_OPERAND_COUNTS = {AND: range(2, 3), XOR: range(2, sys.maxsize), NOT: range(1, 2)}
 
 
 class CircuitBuilder:
     """Single-owner, append-only builder; call :meth:`finish` to freeze a Circuit.
 
     A new builder holds the inputs: x_v is gate v - 1. Each of
-    :meth:`const1`, :meth:`and_`, :meth:`xor` and :meth:`not_` appends one
-    gate and returns its id, the next dense id.
+    :meth:`and_`, :meth:`xor` and :meth:`not_` appends one gate and returns
+    its id, the next dense id.
     """
 
     def __init__(self, arity: int):
@@ -67,11 +66,6 @@ class CircuitBuilder:
     def _check_operand(self, gid: int) -> None:
         if not 0 <= gid < len(self._gates):
             raise ValueError(f"unknown gate id {gid}")
-
-    def const1(self) -> int:
-        gid = len(self._gates)
-        self._gates.append((CONST1,))
-        return gid
 
     def and_(self, a: int, b: int) -> int:
         gates = self._gates
@@ -204,10 +198,8 @@ class Circuit:
                 v = cols[ops[0]]
                 for o in ops[1:]:
                     v ^= cols[o]
-            elif kind == NOT:
+            else:  # NOT
                 v = cols[ops[0]] ^ ones
-            else:  # CONST1
-                v = ones
             for o in ops:
                 if last[o] == gid:
                     cols[o] = None

@@ -4,8 +4,9 @@ Subcommands: ``synth`` (write a circuit in bristol/dot/json form), ``verify``
 (exhaustive or sampled equivalence check against the direct reference),
 ``lemmas`` (symbolic property suite), and ``stats`` (count summary).
 
-Exit codes: 0 success, 1 verification/property failure, 2 usage, domain or
-I/O error (e.g. an output path in a missing directory).
+Exit codes: 0 success, 1 verification/property failure, 2 usage, domain,
+I/O or resource error (e.g. an output path in a missing directory, a sample
+count too large to draw, or running out of memory).
 """
 
 from __future__ import annotations
@@ -168,8 +169,11 @@ def cli(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return _HANDLERS[args.command](args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -9,11 +9,12 @@ Bristol Fashion dialect emitted here (see README for the byte-exact rules):
   with OP in {AND, XOR, INV}; wires are dense from 0, inputs lowest, each
   output group's wires highest in output order.
 
-Only binary AND/XOR and unary INV appear: wide XOR gates are lowered to a
-left-associated chain, CONST1 becomes INV(XOR(w0, w0)) using the first input
-wire, and every output is copied onto its final wire with XOR against the
-shared zero wire. None of the lowering adds AND gates, so the AND line count
-equals the circuit's reachable AND count.
+Only binary AND/XOR and unary INV appear, and every gate line defines one new
+wire: line k (from 0) writes wire n + k. Line 0 is the shared zero wire
+XOR(w0, w0), wide XOR gates are lowered to left-associated chains, and every
+output is copied onto its final wire with XOR against the zero wire. None of
+the lowering adds AND gates, so the AND line count equals the circuit's
+reachable AND count.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import json
 import re
 
-from .circuit import AND, CONST1, INPUT, NOT, XOR, Circuit
+from .circuit import AND, INPUT, NOT, XOR, Circuit
 
 # Largest declared input count import_bristol accepts: each declared input
 # becomes one slot of the gate list, all holding the one shared (INPUT,),
@@ -38,53 +39,29 @@ def export_bristol(circuit: Circuit) -> str:
         raise ValueError("cannot export a circuit with no outputs")
     n, gates = circuit.arity, circuit.gates
     reach = circuit.reachable()
-    lines: list[str] = []
     wire_of = list(range(n)) + [-1] * (len(gates) - n)  # input x_v is wire v - 1
-    next_wire = n
-
-    def fresh() -> int:
-        nonlocal next_wire
-        w = next_wire
-        next_wire += 1
-        return w
-
-    # shared zero wire for constant lowering and output copies
-    zero = fresh()
-    lines.append(f"2 1 0 0 {zero} XOR")
-    one_wire: int | None = None
-
+    zero = n  # defined by line 0; read by the output copies
+    lines = [f"2 1 0 0 {zero} XOR"]
     for gid, gate in enumerate(gates[n:], n):
         if not reach[gid]:
             continue
-        kind = gate[0]
-        if kind == CONST1:
-            if one_wire is None:
-                one_wire = fresh()
-                lines.append(f"1 1 {zero} {one_wire} INV")
-            wire_of[gid] = one_wire
-        elif kind == AND:
-            w = fresh()
-            lines.append(f"2 1 {wire_of[gate[1]]} {wire_of[gate[2]]} {w} AND")
-            wire_of[gid] = w
+        kind, a = gate[0], wire_of[gate[1]]
+        if kind == AND:
+            lines.append(f"2 1 {a} {wire_of[gate[2]]} {n + len(lines)} AND")
         elif kind == NOT:
-            w = fresh()
-            lines.append(f"1 1 {wire_of[gate[1]]} {w} INV")
-            wire_of[gid] = w
+            lines.append(f"1 1 {a} {n + len(lines)} INV")
         else:  # XOR, lowered left-associated
-            acc = wire_of[gate[1]]
             for o in gate[2:]:
-                w = fresh()
-                lines.append(f"2 1 {acc} {wire_of[o]} {w} XOR")
-                acc = w
-            wire_of[gid] = acc
+                lines.append(f"2 1 {a} {wire_of[o]} {n + len(lines)} XOR")
+                a = n + len(lines) - 1
+        wire_of[gid] = n + len(lines) - 1
 
     for _, gid in circuit.outputs:
-        w = fresh()
-        lines.append(f"2 1 {wire_of[gid]} {zero} {w} XOR")
+        lines.append(f"2 1 {wire_of[gid]} {zero} {n + len(lines)} XOR")
 
     sizes = " ".join(["1"] * len(circuit.outputs))
     header = [
-        f"{len(lines)} {next_wire}",
+        f"{len(lines)} {n + len(lines)}",
         f"1 {n}",
         f"{len(circuit.outputs)} {sizes}",
         "",
@@ -187,7 +164,7 @@ def import_bristol(text: str) -> Circuit:
     return circuit
 
 
-_DOT_LABEL = {CONST1: "1", AND: "AND", XOR: "XOR", NOT: "NOT"}
+_DOT_LABEL = {AND: "AND", XOR: "XOR", NOT: "NOT"}
 
 
 def export_dot(circuit: Circuit) -> str:
@@ -225,8 +202,6 @@ def export_json(circuit: Circuit, construction: str | None = None) -> str:
         kind = gate[0]
         if kind == INPUT:
             tail = f',\n      "var": {gid + 1}'
-        elif kind == CONST1:
-            tail = ""
         else:
             ops = ",\n        ".join(map(str, gate[1:]))
             tail = f',\n      "operands": [\n        {ops}\n      ]'

@@ -195,13 +195,12 @@ def leave_one_out_columns(columns: list[int], width: int) -> list[int]:
     """For each i, the bitwise AND of all columns except columns[i]."""
     n = len(columns)
     ones = full_mask(width)
-    prefix = [ones] * (n + 1)
-    for i in range(n):
-        prefix[i + 1] = prefix[i] & columns[i]
+    out = [ones] * n  # out[i] first holds the prefix AND of columns[:i]
+    for i in range(1, n):
+        out[i] = out[i - 1] & columns[i - 1]
     suffix = ones
-    out = [0] * n
     for i in range(n - 1, -1, -1):
-        out[i] = prefix[i] & suffix
+        out[i] &= suffix
         suffix &= columns[i]
     return out
 

@@ -94,7 +94,7 @@ def json_dumps_circuit(circuit, construction=None):
         entry = {"id": gid, "kind": gate[0]}
         if gate[0] == "INPUT":
             entry["var"] = gid + 1
-        elif gate[0] != "CONST1":
+        else:
             entry["operands"] = list(gate[1:])
         gates.append(entry)
     reach = naive_reachable(circuit.gates, circuit.outputs)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xagsynth import AND, CONST1, NOT, XOR, Anf, Circuit, CircuitBuilder, Monomial
+from xagsynth import AND, NOT, XOR, Anf, Circuit, CircuitBuilder, Monomial
 
 from oracles import all_inputs, naive_reachable
 
@@ -21,14 +21,14 @@ class TestBuilder:
         b = CircuitBuilder(3)
         c = b.finish([("y", 2)])
         assert c.gates == (("INPUT",),) * 3
-        assert b.const1() == 3
+        assert b.not_(0) == 3
 
     def test_each_call_appends_next_id(self):
         # append-only: identical calls make distinct gates with dense ids
         b = CircuitBuilder(2)
         x1, x2 = 0, 1
         ids = [b.xor(x1, x2), b.xor(x1, x2), b.and_(x1, x2), b.and_(x1, x2),
-               b.not_(x1), b.not_(x1), b.const1(), b.const1()]
+               b.not_(x1), b.not_(x1), b.not_(x2), b.not_(x2)]
         assert [x1, x2] + ids == list(range(10))
         assert b.and_gates_created == 2
 
@@ -78,11 +78,6 @@ class TestEval:
         from xagsynth import synthesize
         with pytest.raises(ValueError):
             synthesize(3).eval([1, 1])
-
-    def test_const1_table(self):
-        b = CircuitBuilder(2)
-        c = b.finish([("y", b.const1())])
-        assert c.eval_all()[0].values() == [1, 1, 1, 1]
 
     def test_input_passthrough_table(self):
         b = CircuitBuilder(2)
@@ -152,7 +147,7 @@ class TestAndCount:
     def test_not_and_xor_are_free(self):
         b = CircuitBuilder(2)
         x1, x2 = 0, 1
-        c = b.finish([("y", b.not_(b.xor(x1, x2, b.const1())))])
+        c = b.finish([("y", b.not_(b.xor(x1, x2, b.not_(b.xor(x1, x1)))))])
         assert c.and_count() == 0
 
 
@@ -170,11 +165,12 @@ class TestStructure:
         ((("INPUT",),), "must be the inputs"),  # shorter than the arity
         ((("INPUT", 1), ("INPUT", 2)), "must be the inputs"),  # old ("INPUT", v) format
         ((("INPUT",), ("INPUT",), ("INPUT",)), "cannot follow"),
-        ((("INPUT",), ("INPUT",), ("CONST1", 0)), "operand count 1 for CONST1"),
+        ((("INPUT",), ("INPUT",), ("CONST1", 0)), "cannot follow"),  # not in the basis
+        ((("INPUT",), ("INPUT",), ("CONST1",)), "cannot follow"),
         ((("INPUT",), ("INPUT",), ("AND", 0, 1, 1)), "operand count 3 for AND"),
         ((("INPUT",), ("INPUT",), ("XOR", 0)), "operand count 1 for XOR"),
         ((("INPUT",), ("INPUT",), ("OR", 0, 1)), "cannot follow"),
-        ((("INPUT",), ("CONST1",)), "must be the inputs"),  # a non-input in the prefix
+        ((("INPUT",), ("NOT", 0)), "must be the inputs"),  # a non-input in the prefix
     ])
     def test_validate_rejects_malformed_layout(self, gates, match):
         with pytest.raises(ValueError, match=match):
@@ -211,8 +207,9 @@ def random_circuits(draw):
             ids.append(b.xor(*ops))
         elif kind == "not":
             ids.append(b.not_(pick()))
-        else:
-            ids.append(b.const1())
+        else:  # constant 1
+            x = pick()
+            ids.append(b.not_(b.xor(x, x)))
     outs = draw(st.lists(st.sampled_from(ids), min_size=1, max_size=3))
     return b.finish([(f"o{k}", g) for k, g in enumerate(outs, start=1)])
 
@@ -235,14 +232,13 @@ class TestEvalAgreement:
         mapping = {v: v for v in range(c.arity)}
         for gid, gate in enumerate(c.gates[c.arity:], c.arity):
             kind = gate[0]
-            if kind == CONST1:
-                mapping[gid] = b.const1()
-            elif kind == AND:
+            if kind == AND:
                 mapping[gid] = b.and_(mapping[gate[1]], mapping[gate[2]])
             elif kind == XOR:
                 mapping[gid] = b.xor(*(mapping[o] for o in gate[1:]))
             else:  # NOT -> XOR with constant one
-                mapping[gid] = b.xor(b.const1(), mapping[gate[1]])
+                x = mapping[gate[1]]
+                mapping[gid] = b.xor(b.not_(b.xor(x, x)), x)
         c2 = b.finish([(lbl, mapping[g]) for lbl, g in c.outputs])
         assert [t.bits for t in c2.eval_all()] == [t.bits for t in c.eval_all()]
         assert c2.and_count() == c.and_count()
@@ -257,9 +253,7 @@ class TestEvalAgreement:
         for _ in range(2):
             for gid, gate in enumerate(c.gates[c.arity:], c.arity):
                 kind = gate[0]
-                if kind == CONST1:
-                    mapping[gid] = b.const1()
-                elif kind == NOT:
+                if kind == NOT:
                     mapping[gid] = b.not_(mapping[gate[1]])
                 elif kind == AND:
                     mapping[gid] = b.and_(mapping[gate[1]], mapping[gate[2]])

@@ -108,6 +108,21 @@ class TestIOErrors:
         assert not list(tmp_path.rglob(".tmp-*"))
 
 
+class TestResourceErrors:
+    def test_sample_count_too_large_to_draw_is_usage_error(self, capsys):
+        # refused by the random generator before any column is allocated
+        assert cli(["verify", "--n", "5", "--mode", "sample",
+                    "--samples", str(1 << 63)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_out_of_memory_is_usage_error(self, monkeypatch, capsys):
+        def exhausted(*args):
+            raise MemoryError
+        monkeypatch.setattr("xagsynth.cli.synthesize_plan", exhausted)
+        assert cli(["synth", "--n", "5"]) == 2
+        assert capsys.readouterr().err == "error: out of memory\n"
+
+
 class TestFileMode:
     # a written file gets 0o666 less the umask, as a plain open() would
     # create it, whether it is new or replaces an existing file

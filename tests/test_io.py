@@ -94,12 +94,23 @@ class TestBristolExport:
         assert hashlib.sha256(export_bristol(c).encode()).hexdigest() == bristol
         assert hashlib.sha256(export_dot(c).encode()).hexdigest() == dot
 
-    def test_const1_lowering(self):
-        b = CircuitBuilder(1)
-        c = b.finish([("y", b.const1())])
-        imported = import_bristol(export_bristol(c))
-        for bits in all_inputs(1):
-            assert imported.eval(bits) == (1,)
+    # sha256 of the three exports of a hand-built circuit with a NOT, a
+    # 3-operand XOR, an unreachable AND, two outputs on one gate and one
+    # output on an input, recorded when the Bristol lowering still allocated
+    # wires through a counter
+    def test_hand_built_bytes_pinned(self):
+        b = CircuitBuilder(3)
+        n1 = b.not_(0)
+        b.and_(1, 2)  # unreachable
+        y = b.xor(b.and_(n1, 1), 2, n1)
+        c = b.finish([("y", y), ("y again", y), ("x2", 1)])
+        digests = [hashlib.sha256(f(c).encode()).hexdigest()
+                   for f in (export_bristol, export_json, export_dot)]
+        assert digests == [
+            "b8c2a9a7b72928a55bc9faf38af4a7ac4e93486dd31917c37bad9c3557f5f152",
+            "81d084b89094fd31151685a0c666abf26509ca4871ae393b4945747dd0600c67",
+            "e6d835e32a80f565202421fb4e532edc30d30fe30bc8aa25d61eb72840e931ce",
+        ]
 
 
 class TestBristolRoundTrip:
@@ -116,7 +127,7 @@ class TestBristolRoundTrip:
     def test_mixed_gate_kinds(self):
         b = CircuitBuilder(3)
         x1, x2, x3 = 0, 1, 2
-        y = b.xor(b.and_(x1, b.not_(x2)), b.const1(), x3)
+        y = b.xor(b.and_(x1, b.not_(x2)), b.not_(b.xor(x1, x1)), x3)
         c = b.finish([("y", y)])
         again = import_bristol(export_bristol(c))
         for bits in all_inputs(3):
@@ -314,7 +325,7 @@ class TestJson:
         assert doc["gates"][0] == {"id": 0, "kind": "INPUT", "var": 1}
         assert [o["label"] for o in doc["outputs"]] == ["f_1", "f_2", "f_3", "f_4"]
         kinds = {g["kind"] for g in doc["gates"]}
-        assert kinds <= {"INPUT", "CONST1", "AND", "XOR", "NOT"}
+        assert kinds <= {"INPUT", "AND", "XOR", "NOT"}
 
     def test_deterministic(self):
         c = synthesize(4, BASELINE)
@@ -348,7 +359,7 @@ class TestJson:
     @pytest.mark.parametrize("construction", [None, "weird\u2028", 'q"\\'])
     def test_edge_cases_match_json_dumps(self, construction):
         b = CircuitBuilder(3)
-        y = b.xor(b.and_(0, b.not_(1)), b.const1(), 2)
+        y = b.xor(b.and_(0, b.not_(1)), b.not_(b.xor(0, 0)), 2)
         c = b.finish([('a"b\\c\u00e9\nd', y), ("x2", 1)])
         text = export_json(c, construction)
         assert text == json_dumps_circuit(c, construction)

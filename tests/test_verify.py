@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from xagsynth import (
@@ -55,6 +57,23 @@ class TestReference:
             scalar = reference_f(n, bits)
             for i in range(n):
                 assert (expected[i] >> x) & 1 == scalar[i]
+
+    def test_column_reference_holds_one_column_per_output(self):
+        # the outputs double as the prefix store, so the call holds about n
+        # columns at its peak, not n outputs next to n + 1 prefixes
+        from xagsynth.verify import leave_one_out_columns
+
+        n, width = 512, 1 << 16
+        ones = (1 << width) - 1
+        cols = [ones ^ (1 << i) for i in range(n)]  # every prefix stays full width
+        tracemalloc.start()
+        try:
+            out = leave_one_out_columns(cols, width)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out[7] == ones ^ ((1 << n) - 1) ^ (1 << 7)
+        assert peak < 1.25 * n * (width // 8)
 
     @pytest.mark.parametrize("n", range(3, 13))
     def test_reference_f_agrees_with_tables(self, n):
