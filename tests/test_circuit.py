@@ -165,12 +165,13 @@ class TestStructure:
         ((("INPUT",),), "must be the inputs"),  # shorter than the arity
         ((("INPUT", 1), ("INPUT", 2)), "must be the inputs"),  # old ("INPUT", v) format
         ((("INPUT",), ("INPUT",), ("INPUT",)), "cannot follow"),
-        ((("INPUT",), ("INPUT",), ("CONST1", 0)), "cannot follow"),  # not in the basis
-        ((("INPUT",), ("INPUT",), ("CONST1",)), "cannot follow"),
+        ((("INPUT",), ("INPUT",), ("AND", 0)), "operand count 1 for AND"),
         ((("INPUT",), ("INPUT",), ("AND", 0, 1, 1)), "operand count 3 for AND"),
         ((("INPUT",), ("INPUT",), ("XOR", 0)), "operand count 1 for XOR"),
         ((("INPUT",), ("INPUT",), ("OR", 0, 1)), "cannot follow"),
         ((("INPUT",), ("NOT", 0)), "must be the inputs"),  # a non-input in the prefix
+        ((("INPUT",), ("INPUT",), ("CONST1", 0)), "cannot follow"),  # not in the basis
+        ((("INPUT",), ("INPUT",), ("CONST1",)), "cannot follow"),
     ])
     def test_validate_rejects_malformed_layout(self, gates, match):
         with pytest.raises(ValueError, match=match):
