@@ -13,9 +13,6 @@ from .synth import (
     BASELINE,
     OPTIMAL,
     SynthesisPlan,
-    build_sigma,
-    build_stage2,
-    build_stage3,
     degree_lower_bound,
     synthesize,
     synthesize_plan,
@@ -50,9 +47,6 @@ __all__ = [
     "BASELINE",
     "OPTIMAL",
     "SynthesisPlan",
-    "build_sigma",
-    "build_stage2",
-    "build_stage3",
     "degree_lower_bound",
     "synthesize",
     "synthesize_plan",

@@ -16,6 +16,7 @@ import json
 import os
 import sys
 
+from .anf import MAX_DENSE_ARITY
 from .io_formats import export_bristol, export_dot, export_json
 from .synth import BASELINE, OPTIMAL, degree_lower_bound, synthesize, synthesize_plan
 from .verify import check_exhaustive, check_lemma_suite, check_sampled, reference_anf
@@ -103,6 +104,10 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # refuse before synthesis: a circuit for a huge n can exhaust memory
+    # long before check_exhaustive would apply the same cap
+    if args.mode == "exhaustive" and args.n > MAX_DENSE_ARITY:
+        raise ValueError(f"exhaustive check limited to arity {MAX_DENSE_ARITY}")
     circuit = synthesize(args.n, args.construction)
     if args.mode == "exhaustive":
         report = check_exhaustive(circuit, expected_and_count=args.expect_ands)

@@ -16,8 +16,8 @@ from typing import Sequence
 
 from .anf import MAX_DENSE_ARITY, Anf, Monomial
 from .bitops import full_mask, iter_one_bits
-from .circuit import Circuit, CircuitBuilder
-from .synth import build_sigma, build_stage2, build_stage3
+from .circuit import Circuit
+from .synth import synthesize_plan
 
 MISMATCH_CAP = 32
 
@@ -280,15 +280,15 @@ def check_lemma_suite(n_max: int) -> LemmaSuiteResult:
     for n in range(3, n_max + 1):
         sig = sigma_anf(n)
 
-        # stage-1 recursion: circuit node matches the n-monomial sum and
-        # costs exactly n-2 AND gates on a fresh builder
-        builder = CircuitBuilder(n)
-        nodes = build_sigma(builder, n)
-        circuit = builder.finish([("sigma", nodes.top)])
+        # stage-1 recursion: the synthesized sigma_n node matches the
+        # n-monomial sum, and stage 1 costs exactly n-2 AND gates
+        plan = synthesize_plan(n)
+        circuit = Circuit(n, plan.circuit.gates, (("sigma", plan.sigma),))
         got_anf = Anf.from_truth_table(circuit.eval_all()[0])
-        ok = got_anf == sig and builder.and_gates_created == n - 2
+        stage1_ands = plan.stage_and_counts[0]
+        ok = got_anf == sig and stage1_ands == n - 2
         add(LemmaCheck("stage1-sigma", n, ok,
-                       f"and_gates={builder.and_gates_created} expected={n - 2}"))
+                       f"and_gates={stage1_ands} expected={n - 2}"))
 
         # each pair product (x_i XOR x_{i+1}) * sigma_n keeps exactly the two
         # monomials missing x_i and x_{i+1}

@@ -10,8 +10,7 @@ from xagsynth import (
     BASELINE,
     OPTIMAL,
     Anf,
-    CircuitBuilder,
-    build_sigma,
+    Circuit,
     check_exhaustive,
     check_sampled,
     compare_circuits_sampled,
@@ -57,13 +56,10 @@ def test_criterion_03_stage1_count_and_tables():
     t0 = time.monotonic()
     ok = True
     for n in range(3, 1001):
-        b = CircuitBuilder(n)
-        build_sigma(b, n)
-        ok = ok and b.and_gates_created == n - 2
+        ok = ok and synthesize_plan(n).stage_and_counts[0] == n - 2
     for n in range(3, 15):
-        b = CircuitBuilder(n)
-        nodes = build_sigma(b, n)
-        table = b.finish([("s", nodes.top)]).eval_all()[0]
+        plan = synthesize_plan(n)
+        table = Circuit(n, plan.circuit.gates, (("s", plan.sigma),)).eval_all()[0]
         ok = ok and table == sigma_anf(n).to_truth_table()
     report(3, "stage-1: n-2 ANDs and reference tables", ok,
            time.monotonic() - t0, 10)

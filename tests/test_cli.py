@@ -1,6 +1,8 @@
 import json
 import os
 import stat
+import time
+import tracemalloc
 
 import pytest
 
@@ -114,6 +116,19 @@ class TestResourceErrors:
         assert cli(["verify", "--n", "5", "--mode", "sample",
                     "--samples", str(1 << 63)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_exhaustive_beyond_dense_cap_refused_before_synthesis(self, capsys):
+        tracemalloc.start()
+        t0 = time.perf_counter()
+        try:
+            rc = cli(["verify", "--n", "300000"])
+            elapsed = time.perf_counter() - t0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 2
+        assert capsys.readouterr().err == "error: exhaustive check limited to arity 24\n"
+        assert elapsed < 0.5 and peak < 8 << 20, (elapsed, peak)
 
     def test_out_of_memory_is_usage_error(self, monkeypatch, capsys):
         def exhausted(*args):

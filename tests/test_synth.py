@@ -1,14 +1,14 @@
+import hashlib
+
 import pytest
 
 from xagsynth import (
+    AND,
     BASELINE,
     OPTIMAL,
     Anf,
-    CircuitBuilder,
+    Circuit,
     Monomial,
-    build_sigma,
-    build_stage2,
-    build_stage3,
     degree_lower_bound,
     reference_anf,
     sigma_anf,
@@ -19,14 +19,9 @@ from xagsynth import (
 from oracles import all_inputs, leave_one_out_reference, naive_anf_terms
 
 
-def anf_of_node(builder, gid):
-    circuit = builder.finish([("t", gid)])
+def anf_of_node(plan, gid):
+    circuit = Circuit(plan.n, plan.circuit.gates, (("t", gid),))
     return Anf.from_truth_table(circuit.eval_all()[0])
-
-
-def fresh_sigma(n):
-    b = CircuitBuilder(n)
-    return b, build_sigma(b, n)
 
 
 class TestSigma:
@@ -35,19 +30,19 @@ class TestSigma:
         (4, [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]),
     ])
     def test_small_anf(self, n, terms):
-        b, nodes = fresh_sigma(n)
-        assert anf_of_node(b, nodes.top) == Anf(n, [Monomial.of(*t) for t in terms])
-        assert b.and_gates_created == n - 2
+        plan = synthesize_plan(n)
+        assert anf_of_node(plan, plan.sigma) == Anf(n, [Monomial.of(*t) for t in terms])
+        assert plan.stage_and_counts[0] == n - 2
 
     def test_n5_is_all_degree4_monomials(self):
-        b, nodes = fresh_sigma(5)
-        assert anf_of_node(b, nodes.top) == sigma_anf(5)
-        assert b.and_gates_created == 3
+        plan = synthesize_plan(5)
+        assert anf_of_node(plan, plan.sigma) == sigma_anf(5)
+        assert plan.stage_and_counts[0] == 3
 
     @pytest.mark.parametrize("n", range(3, 13))
     def test_anf_and_count_up_to_12(self, n):
-        b, nodes = fresh_sigma(n)
-        got = anf_of_node(b, nodes.top)
+        plan = synthesize_plan(n)
+        got = anf_of_node(plan, plan.sigma)
         # independent path: naive Moebius of the directly-evaluated table
         table = []
         for bits in all_inputs(n):
@@ -56,89 +51,57 @@ class TestSigma:
                 v ^= leave_one_out_reference(n, bits, i)
             table.append(v)
         assert {frozenset(m.vars) for m in got.terms} == naive_anf_terms(n, table)
-        assert b.and_gates_created == n - 2
+        assert plan.stage_and_counts[0] == n - 2
 
     def test_even_case_exposes_previous(self):
-        b, nodes = fresh_sigma(6)
-        assert nodes.previous is not None
-        prev = Anf.from_truth_table(
-            b.finish([("p", nodes.previous)]).eval_all()[0])
-        assert prev == Anf(6, sigma_anf(5).terms)
-
-    def test_odd_case_has_no_previous(self):
-        _, nodes = fresh_sigma(5)
-        assert nodes.previous is None
-
-    def test_rejects_small_n(self):
-        b = CircuitBuilder(2)
-        with pytest.raises(ValueError):
-            build_sigma(b, 2)
-
-    def test_rejects_builder_with_too_few_inputs(self):
-        b = CircuitBuilder(3)
-        b.xor(0, 1)
-        with pytest.raises(ValueError, match="need 5"):
-            build_sigma(b, 5)
+        # even n tops off sigma_{n-1} with one AND: sigma_n = previous AND prefix
+        plan = synthesize_plan(6)
+        kind, previous, _ = plan.circuit.gates[plan.sigma]
+        assert kind == AND
+        assert anf_of_node(plan, previous) == Anf(6, sigma_anf(5).terms)
 
 
 class TestStage2:
     def test_n3_pair_products(self):
-        b, nodes = fresh_sigma(3)
-        stage2 = build_stage2(b, 3, nodes)
-        assert anf_of_node(b, stage2.pairs[1]) == Anf(3, [Monomial.of(2, 3), Monomial.of(1, 3)])
-        assert anf_of_node(b, stage2.pairs[2]) == Anf(3, [Monomial.of(1, 3), Monomial.of(1, 2)])
+        plan = synthesize_plan(3)
+        assert anf_of_node(plan, plan.stage2_nodes[0]) == Anf(3, [Monomial.of(2, 3), Monomial.of(1, 3)])
+        assert anf_of_node(plan, plan.stage2_nodes[1]) == Anf(3, [Monomial.of(1, 3), Monomial.of(1, 2)])
 
     def test_n4_direct_last_output(self):
-        b, nodes = fresh_sigma(4)
-        stage2 = build_stage2(b, 4, nodes)
-        assert anf_of_node(b, stage2.last_output) == Anf(4, [Monomial.of(1, 2, 3)])
+        plan = synthesize_plan(4)
+        assert anf_of_node(plan, plan.stage2_nodes[-1]) == Anf(4, [Monomial.of(1, 2, 3)])
 
     def test_n5_middle_pair(self):
-        b, nodes = fresh_sigma(5)
-        stage2 = build_stage2(b, 5, nodes)
+        plan = synthesize_plan(5)
         expected = Anf(5, [Monomial.of(1, 2, 4, 5), Monomial.of(1, 2, 3, 5)])
-        assert anf_of_node(b, stage2.pairs[3]) == expected
+        assert anf_of_node(plan, plan.stage2_nodes[2]) == expected
 
     @pytest.mark.parametrize("n", range(3, 11))
     def test_adds_n_minus_1_ands(self, n):
-        b, nodes = fresh_sigma(n)
-        before = b.and_gates_created
-        build_stage2(b, n, nodes)
-        assert b.and_gates_created - before == n - 1
+        plan = synthesize_plan(n)
+        assert len(plan.stage2_nodes) == n - 1
+        assert plan.stage_and_counts[1] == n - 1
 
 
 class TestStage3:
     def test_n3_first_output(self):
-        b, nodes = fresh_sigma(3)
-        stage2 = build_stage2(b, 3, nodes)
-        outs = build_stage3(b, 3, nodes, stage2)
-        assert anf_of_node(b, outs[0]) == Anf(3, [Monomial.of(2, 3)])
+        plan = synthesize_plan(3)
+        assert anf_of_node(plan, plan.circuit.outputs[0][1]) == Anf(3, [Monomial.of(2, 3)])
 
     def test_n3_chain_step(self):
-        b, nodes = fresh_sigma(3)
-        stage2 = build_stage2(b, 3, nodes)
-        outs = build_stage3(b, 3, nodes, stage2)
-        assert anf_of_node(b, outs[1]) == Anf(3, [Monomial.of(1, 3)])
+        plan = synthesize_plan(3)
+        assert anf_of_node(plan, plan.circuit.outputs[1][1]) == Anf(3, [Monomial.of(1, 3)])
 
     def test_n4_first_output(self):
-        b, nodes = fresh_sigma(4)
-        stage2 = build_stage2(b, 4, nodes)
-        outs = build_stage3(b, 4, nodes, stage2)
-        assert anf_of_node(b, outs[0]) == Anf(4, [Monomial.of(2, 3, 4)])
+        plan = synthesize_plan(4)
+        assert anf_of_node(plan, plan.circuit.outputs[0][1]) == Anf(4, [Monomial.of(2, 3, 4)])
 
     @pytest.mark.parametrize("n", range(3, 11))
     def test_adds_zero_ands_and_single_monomials(self, n):
-        b, nodes = fresh_sigma(n)
-        stage2 = build_stage2(b, n, nodes)
-        before = b.and_gates_created
-        outs = build_stage3(b, n, nodes, stage2)
-        assert b.and_gates_created == before
-        for i, gid in enumerate(outs, start=1):
-            bb = CircuitBuilder(n)
-            s = build_sigma(bb, n)
-            s2 = build_stage2(bb, n, s)
-            o = build_stage3(bb, n, s, s2)[i - 1]
-            assert anf_of_node(bb, o) == reference_anf(n, i)
+        plan = synthesize_plan(n)
+        assert plan.stage_and_counts[2] == 0
+        for i, (_, gid) in enumerate(plan.circuit.outputs, start=1):
+            assert anf_of_node(plan, gid) == reference_anf(n, i)
 
 
 class TestSynthesize:
@@ -187,6 +150,18 @@ class TestSynthesize:
         for n in range(3, 65):
             gates = synthesize(n, construction).gates[n:]
             assert len(set(gates)) == len(gates), n
+
+    def test_plan_pinned(self):
+        # sha256 over every plan's gates, outputs, stage-2 ids, stage AND
+        # counts and sigma id, recorded when each stage had its own builder
+        # function; the mutation tests re-tap outputs onto stage-2 ids
+        h = hashlib.sha256()
+        for n in [*range(3, 65), 1000, 1001]:
+            for construction in (OPTIMAL, BASELINE):
+                p = synthesize_plan(n, construction)
+                h.update(repr((p.circuit.gates, p.circuit.outputs, p.stage2_nodes,
+                               p.stage_and_counts, p.sigma)).encode())
+        assert h.hexdigest() == "ec40d1a7e30d98aa53cb7a26c36715514601fce44f60c70574f5b9a76e66a980"
 
     @pytest.mark.parametrize("n", range(3, 11))
     def test_stage_budget(self, n):
