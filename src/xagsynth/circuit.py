@@ -30,6 +30,8 @@ gate list.
 from __future__ import annotations
 
 import sys
+from itertools import compress
+from operator import itemgetter
 from typing import Sequence
 
 from .anf import MAX_DENSE_ARITY, TruthTable
@@ -102,12 +104,13 @@ class CircuitBuilder:
 class Circuit:
     """Immutable gate DAG with labeled outputs; safe to share across threads."""
 
-    __slots__ = ("arity", "gates", "outputs")
+    __slots__ = ("arity", "gates", "outputs", "_walk")
 
     def __init__(self, arity: int, gates: tuple[Gate, ...], outputs: tuple[tuple[str, int], ...]):
         self.arity = arity
         self.gates = gates
         self.outputs = outputs
+        self._walk: tuple[bytearray, int, int] | None = None  # filled by _structure()
 
     def validate(self) -> None:
         """Check structural invariants; used on import and in tests."""
@@ -133,22 +136,38 @@ class Circuit:
     def __len__(self) -> int:
         return len(self.gates)
 
+    def _structure(self) -> tuple[bytearray, int, int]:
+        """(reachable flags, reachable ANDs, lowered Bristol lines), walked once and cached."""
+        if self._walk is None:
+            n, gates = self.arity, self.gates
+            mark = bytearray(len(gates))
+            for _, gid in self.outputs:
+                mark[gid] = 1
+            # reversed(mark) reads each flag after the gate's readers (higher ids) ran
+            for gate in compress(reversed(gates), reversed(mark)):
+                if len(gate) == 3:  # AND or two-operand XOR: most gates
+                    mark[gate[1]] = mark[gate[2]] = 1
+                else:
+                    for o in gate[1:]:
+                        mark[o] = 1
+            live = list(compress(gates[n:], mark[n:]))
+            kinds = list(map(itemgetter(0), live))
+            # zero wire + one line per AND/NOT + (operands - 1) per XOR + output copies
+            lines = 1 + sum(map(len, live)) - 2 * len(live) + kinds.count(NOT) + len(self.outputs)
+            self._walk = (mark, kinds.count(AND), lines)
+        return self._walk
+
     def reachable(self) -> bytearray:
-        """Flag per gate: reachable from some output."""
-        gates = self.gates
-        mark = bytearray(len(gates))
-        for _, gid in self.outputs:
-            mark[gid] = 1
-        for gid in range(len(gates) - 1, self.arity - 1, -1):
-            if mark[gid]:
-                for o in gates[gid][1:]:
-                    mark[o] = 1
-        return mark
+        """Flag per gate: reachable from some output (a fresh copy per call)."""
+        return bytearray(self._structure()[0])
 
     def and_count(self) -> int:
         """Number of AND gates reachable from the outputs."""
-        mark = self.reachable()
-        return sum(1 for gate, m in zip(self.gates, mark) if m and gate[0] == AND)
+        return self._structure()[1]
+
+    def bristol_gate_count(self) -> int:
+        """Gate lines of the lowered Bristol document, its header's first number."""
+        return self._structure()[2]
 
     def replace_output(self, index: int, gid: int) -> "Circuit":
         """New circuit sharing all gates, with one output re-tapped."""

@@ -19,8 +19,12 @@ reachable AND count.
 
 from __future__ import annotations
 
+import io
+from array import array
 import json
 import re
+from itertools import chain, compress, islice
+from typing import Iterable, Iterator, TextIO
 
 from .circuit import AND, INPUT, NOT, XOR, Circuit
 
@@ -29,44 +33,68 @@ from .circuit import AND, INPUT, NOT, XOR, Circuit
 # before any gate line is read.
 MAX_BRISTOL_INPUTS = 1 << 20
 
+_CHUNK = 4096  # items joined per write by the streaming writers
+
 
 class BristolFormatError(ValueError):
     """Raised for malformed Bristol Fashion documents."""
 
 
-def export_bristol(circuit: Circuit) -> str:
-    if not circuit.outputs:
-        raise ValueError("cannot export a circuit with no outputs")
+def _to_string(write, circuit: Circuit, *args) -> str:
+    """Run a writer into a string: the one code path behind each ``export_*``."""
+    fh = io.StringIO()
+    write(circuit, fh, *args)
+    return fh.getvalue()
+
+
+def _write_joined(fh: TextIO, items: Iterable[str], sep: str, lead: str = "") -> bool:
+    """Write ``lead + sep.join(items)`` to ``fh``, _CHUNK items per write, or
+    nothing if there are no items; return whether anything was written."""
+    it, wrote = iter(items), False
+    for chunk in iter(lambda: list(islice(it, _CHUNK)), []):
+        fh.write((sep if wrote else lead) + sep.join(chunk))
+        wrote = True
+    return wrote
+
+
+def _bristol_lines(circuit: Circuit) -> Iterator[str]:
     n, gates = circuit.arity, circuit.gates
-    reach = circuit.reachable()
-    wire_of = list(range(n)) + [-1] * (len(gates) - n)  # input x_v is wire v - 1
+    # gate id -> wire, input x_v is wire v - 1; an array holds no int objects
+    wire_of = array("q", range(n)) + array("q", [-1]) * (len(gates) - n)
     zero = n  # defined by line 0; read by the output copies
-    lines = [f"2 1 0 0 {zero} XOR"]
-    for gid, gate in enumerate(gates[n:], n):
-        if not reach[gid]:
-            continue
+    yield f"2 1 0 0 {zero} XOR"
+    w = n + 1  # the wire the next line writes
+    for gid, gate in compress(islice(enumerate(gates), n, None), circuit.reachable()[n:]):
         kind, a = gate[0], wire_of[gate[1]]
         if kind == AND:
-            lines.append(f"2 1 {a} {wire_of[gate[2]]} {n + len(lines)} AND")
+            yield f"2 1 {a} {wire_of[gate[2]]} {w} AND"
         elif kind == NOT:
-            lines.append(f"1 1 {a} {n + len(lines)} INV")
+            yield f"1 1 {a} {w} INV"
         else:  # XOR, lowered left-associated
-            for o in gate[2:]:
-                lines.append(f"2 1 {a} {wire_of[o]} {n + len(lines)} XOR")
-                a = n + len(lines) - 1
-        wire_of[gid] = n + len(lines) - 1
-
+            for o in gate[2:-1]:
+                yield f"2 1 {a} {wire_of[o]} {w} XOR"
+                a, w = w, w + 1
+            yield f"2 1 {a} {wire_of[gate[-1]]} {w} XOR"
+        wire_of[gid] = w
+        w += 1
     for _, gid in circuit.outputs:
-        lines.append(f"2 1 {wire_of[gid]} {zero} {n + len(lines)} XOR")
+        yield f"2 1 {wire_of[gid]} {zero} {w} XOR"
+        w += 1
 
-    sizes = " ".join(["1"] * len(circuit.outputs))
-    header = [
-        f"{len(lines)} {n + len(lines)}",
-        f"1 {n}",
-        f"{len(circuit.outputs)} {sizes}",
-        "",
-    ]
-    return "\n".join(header + lines) + "\n"
+
+def write_bristol(circuit: Circuit, fh: TextIO) -> None:
+    """Write the circuit as Bristol Fashion; the header's gate count comes
+    from the circuit's cached structural pass, so the body streams."""
+    if not circuit.outputs:
+        raise ValueError("cannot export a circuit with no outputs")
+    n, count, outs = circuit.arity, circuit.bristol_gate_count(), len(circuit.outputs)
+    fh.write(f"{count} {n + count}\n1 {n}\n{outs} {' '.join(['1'] * outs)}\n\n")
+    _write_joined(fh, _bristol_lines(circuit), "\n")
+    fh.write("\n")
+
+
+def export_bristol(circuit: Circuit) -> str:
+    return _to_string(write_bristol, circuit)
 
 
 def _ints(tokens: list[str], line_no: int) -> list[int]:
@@ -167,47 +195,52 @@ def import_bristol(text: str) -> Circuit:
 _DOT_LABEL = {AND: "AND", XOR: "XOR", NOT: "NOT"}
 
 
-def export_dot(circuit: Circuit) -> str:
+def write_dot(circuit: Circuit, fh: TextIO) -> None:
     """Graphviz digraph; node order and edges follow gate ids, so two exports
     of the same circuit are byte-identical."""
     labels_by_gid: dict[int, list[str]] = {}
     for label, gid in circuit.outputs:
         label = label.replace("\\", "\\\\").replace('"', '\\"')  # inside a quoted DOT string
         labels_by_gid.setdefault(gid, []).append(label)
-    lines = ["digraph circuit {", "  rankdir=LR;"]
-    for gid, gate in enumerate(circuit.gates):
-        kind = gate[0]
-        label = f"x{gid + 1}" if kind == INPUT else _DOT_LABEL[kind]
-        if gid in labels_by_gid:
-            label += " (" + ", ".join(labels_by_gid[gid]) + ")"
-        shape = " shape=box" if kind == INPUT else ""
-        lines.append(f'  g{gid} [label="{label}"{shape}];')
-    for gid, gate in enumerate(circuit.gates[circuit.arity:], circuit.arity):
-        for o in gate[1:]:
-            lines.append(f"  g{o} -> g{gid};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+
+    def nodes() -> Iterator[str]:
+        for gid, gate in enumerate(circuit.gates):
+            kind = gate[0]
+            label = f"x{gid + 1}" if kind == INPUT else _DOT_LABEL[kind]
+            if gid in labels_by_gid:
+                label += " (" + ", ".join(labels_by_gid[gid]) + ")"
+            shape = " shape=box" if kind == INPUT else ""
+            yield f'  g{gid} [label="{label}"{shape}];'
+
+    edges = (f"  g{o} -> g{gid};"
+             for gid, gate in islice(enumerate(circuit.gates), circuit.arity, None)
+             for o in gate[1:])
+    _write_joined(fh, chain(["digraph circuit {", "  rankdir=LR;"], nodes(), edges, ["}"]), "\n")
+    fh.write("\n")
 
 
-def _json_list(items: list[str]) -> str:
-    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+def export_dot(circuit: Circuit) -> str:
+    return _to_string(write_dot, circuit)
 
 
-def export_json(circuit: Circuit, construction: str | None = None) -> str:
+def write_json(circuit: Circuit, fh: TextIO, construction: str | None = None) -> None:
     """The circuit as the JSON document that ``json.dumps`` with ``indent=2``
     writes, byte for byte, built without json's pure-Python indent encoder;
     only the free-text values pass through ``json.dumps``."""
-    gates = []
-    for gid, gate in enumerate(circuit.gates):
-        kind = gate[0]
-        if kind == INPUT:
-            tail = f',\n      "var": {gid + 1}'
-        else:
-            ops = ",\n        ".join(map(str, gate[1:]))
-            tail = f',\n      "operands": [\n        {ops}\n      ]'
-        gates.append(f'    {{\n      "id": {gid},\n      "kind": "{kind}"{tail}\n    }}')
-    outputs = [f'    {{\n      "label": {json.dumps(label)},\n      "id": {gid}\n    }}'
-               for label, gid in circuit.outputs]
-    return (f'{{\n  "arity": {circuit.arity},\n  "construction": {json.dumps(construction)},\n'
-            f'  "and_count": {circuit.and_count()},\n  "gates": {_json_list(gates)},\n'
-            f'  "outputs": {_json_list(outputs)}\n}}\n')
+    n, gates, sep = circuit.arity, circuit.gates, ",\n        "
+    fh.write(f'{{\n  "arity": {n},\n  "construction": {json.dumps(construction)},\n'
+             f'  "and_count": {circuit.and_count()},\n  "gates": [')
+    inputs = (f'    {{\n      "id": {gid},\n      "kind": "INPUT",\n      "var": {gid + 1}\n    }}'
+              for gid in range(n))
+    others = (f'    {{\n      "id": {gid},\n      "kind": "{gate[0]}",\n      "operands": [\n'
+              f'        {sep.join(map(str, gate[1:]))}\n      ]\n    }}'
+              for gid, gate in islice(enumerate(gates), n, None))
+    outputs = (f'    {{\n      "label": {json.dumps(label)},\n      "id": {gid}\n    }}'
+               for label, gid in circuit.outputs)
+    fh.write(("\n  ]" if _write_joined(fh, chain(inputs, others), ",\n", "\n") else "]")
+             + ',\n  "outputs": [')
+    fh.write(("\n  ]" if _write_joined(fh, outputs, ",\n", "\n") else "]") + "\n}\n")
+
+
+def export_json(circuit: Circuit, construction: str | None = None) -> str:
+    return _to_string(write_json, circuit, construction)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xagsynth import AND, NOT, XOR, Anf, Circuit, CircuitBuilder, Monomial
+from xagsynth import AND, NOT, XOR, Anf, Circuit, CircuitBuilder, Monomial, export_bristol
 
 from oracles import all_inputs, naive_reachable
 
@@ -150,6 +150,25 @@ class TestAndCount:
         c = b.finish([("y", b.not_(b.xor(x1, x2, b.not_(b.xor(x1, x1)))))])
         assert c.and_count() == 0
 
+    def test_retapped_circuit_gets_its_own_structural_pass(self):
+        from xagsynth import synthesize
+        c = synthesize(9)
+        assert c.and_count() == 15  # fills the original's cache first
+        dead = c
+        for k in range(len(c.outputs)):
+            dead = dead.replace_output(k, k % c.arity)
+        assert dead.and_count() == 0 and dead.bristol_gate_count() == 1 + len(c.outputs)
+        assert not any(dead.reachable()[c.arity:])
+        assert c.and_count() == 15
+
+    def test_mutating_reachable_leaves_the_cache_intact(self):
+        b, s = sigma3_builder()
+        c = b.finish([("s", s)])
+        mark = c.reachable()
+        mark[:] = bytes(len(mark))
+        assert c.and_count() == 1
+        assert c.reachable() == bytearray([1, 1, 1, 1, 1, 1, 1]) != mark
+
 
 class TestStructure:
     def test_validate_accepts_builder_output(self):
@@ -271,3 +290,8 @@ class TestEvalAgreement:
     def test_reachable_matches_naive_dfs(self, c):
         got = {gid for gid, m in enumerate(c.reachable()) if m}
         assert got == naive_reachable(c.gates, c.outputs)
+
+    @given(random_circuits())
+    @settings(max_examples=60, deadline=None)
+    def test_cached_line_count_is_bristol_header(self, c):
+        assert c.bristol_gate_count() == int(export_bristol(c).split(" ", 1)[0])

@@ -1,12 +1,25 @@
 import json
 import os
 import stat
+import subprocess
+import sys
 import time
 import tracemalloc
 
 import pytest
 
-from xagsynth import check_exhaustive, import_bristol
+import xagsynth
+from xagsynth import (
+    BASELINE,
+    OPTIMAL,
+    Circuit,
+    check_exhaustive,
+    export_bristol,
+    export_dot,
+    export_json,
+    import_bristol,
+    synthesize,
+)
 from xagsynth.cli import cli
 
 
@@ -42,6 +55,40 @@ class TestSynthCommand:
         cli(["synth", "--n", "9", "--out", str(a)])
         cli(["synth", "--n", "9", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("n", [3, 4, 7, 8, 64])
+    @pytest.mark.parametrize("construction", [OPTIMAL, BASELINE])
+    @pytest.mark.parametrize("fmt", ["bristol", "json", "dot"])
+    def test_streamed_bytes_match_string_exports(self, tmp_path, capsysbinary,
+                                                 n, construction, fmt):
+        c = synthesize(n, construction)
+        expected = {"bristol": export_bristol(c), "json": export_json(c, construction),
+                    "dot": export_dot(c)}[fmt].encode()
+        argv = ["synth", "--n", str(n), "--construction", construction, "--format", fmt]
+        out = tmp_path / "c"
+        assert cli(argv + ["--out", str(out)]) == 0
+        assert out.read_bytes() == expected
+        capsysbinary.readouterr()
+        assert cli(argv) == 0
+        assert capsysbinary.readouterr().out == expected
+
+    def test_one_structural_walk_per_run(self, monkeypatch, tmp_path):
+        walks, calls = [], []
+        structure, reachable = Circuit._structure, Circuit.reachable
+
+        def counted_structure(self):
+            if self._walk is None:
+                walks.append(len(self.gates))
+            return structure(self)
+
+        def counted_reachable(self):
+            calls.append(len(self.gates))
+            return reachable(self)
+
+        monkeypatch.setattr(Circuit, "_structure", counted_structure)
+        monkeypatch.setattr(Circuit, "reachable", counted_reachable)
+        assert cli(["synth", "--n", "40", "--out", str(tmp_path / "c")]) == 0
+        assert len(walks) == 1 and len(calls) == 1
 
 
 class TestVerifyCommand:
@@ -88,6 +135,20 @@ class TestStatsCommand:
         assert cli(["stats", "--n", "6"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_one_reference_anf_for_all_outputs(self, monkeypatch, capsys):
+        # every output's bound is the same, so the command stays linear in n
+        calls = []
+        reference_anf = xagsynth.cli.reference_anf
+
+        def counted(n, i):
+            calls.append(i)
+            return reference_anf(n, i)
+
+        monkeypatch.setattr("xagsynth.cli.reference_anf", counted)
+        assert cli(["stats", "--n", "50"]) == 0
+        assert "degree lower bound = 48" in capsys.readouterr().out
+        assert len(calls) == 1
+
     def test_missing_subcommand(self):
         assert cli([]) == 2
 
@@ -108,6 +169,59 @@ class TestIOErrors:
         err = capsys.readouterr().err
         assert str(target) in err and ".tmp-" not in err
         assert not list(tmp_path.rglob(".tmp-*"))
+
+
+class TestAtomicStreaming:
+    def test_writer_failing_partway_leaves_target_untouched(self, tmp_path, monkeypatch, capsys):
+        def failing(circuit, fh):
+            fh.write("1 2\n1 1\n1 1\n\n" * 3)
+            fh.flush()
+            raise MemoryError
+
+        target = tmp_path / "existing.bristol"
+        target.write_text("old")
+        monkeypatch.setattr("xagsynth.cli.write_bristol", failing)
+        assert cli(["synth", "--n", "5", "--out", str(target)]) == 2
+        assert capsys.readouterr().err.endswith("\nerror: out of memory\n")
+        assert target.read_text() == "old"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["existing.bristol"]
+
+
+# Runs argv[1:] and prints its exit code and os.wait4 ru_maxrss. Started
+# from this small launcher, the child's peak is its own: a child forked
+# straight from the test process would inherit that process's peak RSS.
+_LAUNCH = """import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def _child_peak_mib(argv):
+    """Peak RSS of a fresh interpreter running ``argv`` against this package."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(xagsynth.__file__)))
+    out = subprocess.run([sys.executable, "-c", _LAUNCH, sys.executable, *argv], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    code, kib = map(int, out.split())
+    assert code == 0, argv
+    return kib / 1024  # ru_maxrss is in KiB on Linux
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB")
+class TestStreamingMemory:
+    # the artifact streams into the file, so writing it costs a bounded
+    # margin over the circuit itself, not a multiple of the text's size
+    N = 20000
+
+    @pytest.fixture(scope="class")
+    def synth_only_mib(self):
+        return _child_peak_mib(["-c", f"import xagsynth.cli; xagsynth.synthesize({self.N})"])
+
+    @pytest.mark.parametrize("fmt", ["bristol", "json"])
+    def test_synth_peaks_near_the_circuit(self, tmp_path, synth_only_mib, fmt):
+        peak = _child_peak_mib(["-m", "xagsynth.cli", "synth", "--n", str(self.N),
+                                "--format", fmt, "--out", str(tmp_path / "c")])
+        assert peak - synth_only_mib <= 16, (peak, synth_only_mib)
 
 
 class TestResourceErrors:

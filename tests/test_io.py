@@ -112,6 +112,25 @@ class TestBristolExport:
             "e6d835e32a80f565202421fb4e532edc30d30fe30bc8aa25d61eb72840e931ce",
         ]
 
+    @pytest.mark.parametrize("chunk", [1, 2, 4096])
+    def test_hand_built_writers_match_exports(self, tmp_path, monkeypatch, chunk):
+        # the pinned circuit above, streamed into a file; at one and two items
+        # per write, chunk boundaries fall all through the document
+        b = CircuitBuilder(3)
+        n1 = b.not_(0)
+        b.and_(1, 2)  # unreachable
+        y = b.xor(b.and_(n1, 1), 2, n1)
+        c = b.finish([("y", y), ("y again", y), ("x2", 1)])
+        writers = {io_formats.write_bristol: export_bristol(c),
+                   io_formats.write_json: export_json(c),
+                   io_formats.write_dot: export_dot(c)}
+        monkeypatch.setattr(io_formats, "_CHUNK", chunk)
+        for write, expected in writers.items():
+            path = tmp_path / "out"
+            with open(path, "w") as fh:
+                write(c, fh)
+            assert path.read_text() == expected
+
 
 class TestBristolRoundTrip:
     @pytest.mark.parametrize("n", range(3, 13))
