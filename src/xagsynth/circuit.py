@@ -104,13 +104,14 @@ class CircuitBuilder:
 class Circuit:
     """Immutable gate DAG with labeled outputs; safe to share across threads."""
 
-    __slots__ = ("arity", "gates", "outputs", "_walk")
+    __slots__ = ("arity", "gates", "outputs", "_walk", "_last")
 
     def __init__(self, arity: int, gates: tuple[Gate, ...], outputs: tuple[tuple[str, int], ...]):
         self.arity = arity
         self.gates = gates
         self.outputs = outputs
         self._walk: tuple[bytearray, int, int] | None = None  # filled by _structure()
+        self._last: list[int] | None = None  # filled by _last_uses(), on first evaluation
 
     def validate(self) -> None:
         """Check structural invariants; used on import and in tests."""
@@ -181,19 +182,25 @@ class Circuit:
     # -- evaluation --------------------------------------------------------
 
     def _last_uses(self) -> list[int]:
-        """Per gate, the id of the last gate that reads it.
+        """Per gate, the id of the last gate that reads it, built on first
+        evaluation and cached.
 
         An unread gate maps to its own id; an output maps to ``len(gates)``,
         past every gate, so its column is never dropped.
         """
-        gates = self.gates
-        last = list(range(len(gates)))
-        for gid in range(self.arity, len(gates)):
-            for o in gates[gid][1:]:
-                last[o] = gid
-        for _, gid in self.outputs:
-            last[gid] = len(gates)
-        return last
+        if self._last is None:
+            n, gates = self.arity, self.gates
+            last = list(range(len(gates)))
+            for gid, gate in enumerate(gates[n:], n):
+                if len(gate) == 3:  # AND or two-operand XOR: most gates
+                    last[gate[1]] = last[gate[2]] = gid
+                else:
+                    for o in gate[1:]:
+                        last[o] = gid
+            for _, gid in self.outputs:
+                last[gid] = len(gates)
+            self._last = last
+        return self._last
 
     def output_columns(self, input_columns: Sequence[int], width: int) -> list[int]:
         """Forward pass over bit columns of the given width.
@@ -210,18 +217,26 @@ class Circuit:
         last = self._last_uses()
         cols: list[int | None] = [input_columns[v] for v in range(n)] + [None] * (len(gates) - n)
         for gid, gate in enumerate(gates[n:], n):
-            kind, ops = gate[0], gate[1:]
-            if kind == AND:
-                v = cols[ops[0]] & cols[ops[1]]
-            elif kind == XOR:
+            if len(gate) == 3:  # AND or two-operand XOR: most gates
+                kind, a, b = gate
+                v = cols[a] & cols[b] if kind == AND else cols[a] ^ cols[b]
+                if last[a] == gid:
+                    cols[a] = None
+                if last[b] == gid:
+                    cols[b] = None
+            elif gate[0] == NOT:
+                a = gate[1]
+                v = cols[a] ^ ones
+                if last[a] == gid:
+                    cols[a] = None
+            else:  # XOR of three or more operands
+                ops = gate[1:]
                 v = cols[ops[0]]
                 for o in ops[1:]:
                     v ^= cols[o]
-            else:  # NOT
-                v = cols[ops[0]] ^ ones
-            for o in ops:
-                if last[o] == gid:
-                    cols[o] = None
+                for o in ops:
+                    if last[o] == gid:
+                        cols[o] = None
             if last[gid] != gid:
                 cols[gid] = v
         return [cols[gid] for _, gid in self.outputs]

@@ -20,6 +20,7 @@ from .circuit import Circuit
 from .synth import synthesize_plan
 
 MISMATCH_CAP = 32
+STRUCTURED_BLOCK = 4096  # structured sample points evaluated per block
 
 EXHAUSTIVE = "exhaustive"
 SAMPLED = "sampled"
@@ -109,24 +110,36 @@ class VerificationReport:
         }
 
 
-def _collect_mismatches(got_cols, expected_cols, point_bits_at):
-    """Diff output columns; cap stored mismatches, count all of them."""
-    mismatches: list[Mismatch] = []
+def _merge_mismatches(blocks):
+    """Diff output columns block by block and count every mismatch.
+
+    ``blocks`` yields ``(first point, got columns, expected columns)`` in
+    point order. Only the MISMATCH_CAP smallest ``(output, point, expected,
+    got)`` keys are kept, so an output past the current last key is counted
+    but never scanned: a later block's points all come after it.
+    """
+    kept: list[tuple[int, int, int, int]] = []
     total = 0
-    for out_idx, (got, exp) in enumerate(zip(got_cols, expected_cols), start=1):
-        diff = got ^ exp
-        total += diff.bit_count()
-        if len(mismatches) < MISMATCH_CAP:
-            for t in iter_one_bits(diff, MISMATCH_CAP - len(mismatches)):
-                mismatches.append(Mismatch(point_bits_at(t), out_idx,
-                                           (exp >> t) & 1, (got >> t) & 1))
-    return mismatches, total
+    for first, got_cols, expected_cols in blocks:
+        for out_idx, (got, exp) in enumerate(zip(got_cols, expected_cols), start=1):
+            diff = got ^ exp
+            if not diff:
+                continue
+            total += diff.bit_count()
+            if len(kept) < MISMATCH_CAP or out_idx < kept[-1][0]:
+                kept += [(out_idx, first + t, (exp >> t) & 1, (got >> t) & 1)
+                         for t in iter_one_bits(diff, MISMATCH_CAP)]
+                kept.sort()
+                del kept[MISMATCH_CAP:]
+        del got_cols, expected_cols  # free the block before the next is built
+    return kept, total
 
 
-def _report(mode, circuit, inputs_checked, got_cols, expected_cols, point_bits_at,
+def _report(mode, circuit, inputs_checked, blocks, point_bits_at,
             expected_and_count, **extra) -> VerificationReport:
-    """Diff the columns, count ANDs and decide pass/fail in one place."""
-    mismatches, total = _collect_mismatches(got_cols, expected_cols, point_bits_at)
+    """Merge the blocks' mismatches, count ANDs and decide pass/fail in one place."""
+    kept, total = _merge_mismatches(blocks)
+    mismatches = [Mismatch(point_bits_at(t), out_idx, exp, got) for out_idx, t, exp, got in kept]
     observed = circuit.and_count()
     passed = total == 0 and (expected_and_count is None or observed == expected_and_count)
     return VerificationReport(
@@ -150,21 +163,44 @@ def check_exhaustive(circuit: Circuit, expected_and_count: int | None = None) ->
     def point_bits(x: int) -> tuple[int, ...]:
         return tuple((x >> j) & 1 for j in range(n))
 
-    return _report(EXHAUSTIVE, circuit, 1 << n, got, expected, point_bits, expected_and_count)
+    return _report(EXHAUSTIVE, circuit, 1 << n, [(0, got, expected)], point_bits,
+                   expected_and_count)
 
 
-def _sample_columns(n: int, count: int, seed: int) -> tuple[list[int], int]:
-    """Input columns for x_1..x_n: seeded random bits, then the structured
-    block (all-zeros, all-ones, and each single-zero input)."""
+def _structured_columns(n: int, start: int, width: int) -> list[int]:
+    """Input columns of x_1..x_n over structured points start..start+width-1.
+
+    Structured point 0 is all-zeros, point 1 all-ones and point v + 1 zero
+    at x_v only. Every column without a zero inside the block is one shared
+    int, so a block holds at most ``width`` distinct columns.
+    """
+    base = full_mask(width) ^ (start == 0)  # clear the all-zeros point
+    columns = [base] * n
+    for s in range(max(start, 2), start + width):
+        columns[s - 2] = base ^ (1 << (s - start))
+    return columns
+
+
+def _sample_blocks(n: int, count: int, seed: int):
+    """The seeded sample set: the random columns, and a generator of its
+    blocks as ``(first point, input columns, width)``.
+
+    Points 0..count-1 are seeded random bits, one block held whole; the
+    n + 2 structured points follow in blocks of STRUCTURED_BLOCK points,
+    each built in closed form when it is reached.
+    """
+    if count < 1:
+        raise ValueError("sample count must be at least 1")
     rng = random.Random(seed)
-    width = count + n + 2
-    # structured block layout, low to high: all-zeros, all-ones, zero-at-1..n
-    ones_except = (1 << (n + 2)) - 2
-    columns = []
-    for v in range(1, n + 1):
-        structured = ones_except ^ (1 << (v + 1))
-        columns.append(rng.getrandbits(count) | (structured << count))
-    return columns, width
+    columns = [rng.getrandbits(count) for _ in range(n)]
+
+    def blocks():
+        yield 0, columns, count
+        for start in range(0, n + 2, STRUCTURED_BLOCK):
+            width = min(STRUCTURED_BLOCK, n + 2 - start)
+            yield count + start, _structured_columns(n, start, width), width
+
+    return columns, blocks()
 
 
 def check_sampled(circuit: Circuit, count: int, seed: int,
@@ -173,21 +209,22 @@ def check_sampled(circuit: Circuit, count: int, seed: int,
 
     Deterministic for a fixed seed (Mersenne Twister via random.Random).
     Expected values are leave-one-out products of the raw input columns,
-    formed from running prefix/suffix bitwise ANDs.
+    formed from running prefix/suffix bitwise ANDs, one block of points at
+    a time.
     """
-    if count < 1:
-        raise ValueError("sample count must be at least 1")
     n = circuit.arity
     if len(circuit.outputs) != n:
         raise ValueError(f"expected {n} outputs, circuit has {len(circuit.outputs)}")
-    columns, width = _sample_columns(n, count, seed)
-    got = circuit.output_columns(columns, width)
-    expected = leave_one_out_columns(columns, width)
+    columns, blocks = _sample_blocks(n, count, seed)
+    evaluated = ((first, circuit.output_columns(cols, width), leave_one_out_columns(cols, width))
+                 for first, cols, width in blocks)
 
     def point_bits(t: int) -> tuple[int, ...]:
-        return tuple((c >> t) & 1 for c in columns)
+        if t < count:
+            return tuple((c >> t) & 1 for c in columns)
+        return tuple(_structured_columns(n, t - count, 1))
 
-    return _report(SAMPLED, circuit, width, got, expected, point_bits, expected_and_count,
+    return _report(SAMPLED, circuit, count + n + 2, evaluated, point_bits, expected_and_count,
                    sample_count=count, seed=seed)
 
 
@@ -210,10 +247,10 @@ def compare_circuits_sampled(a: Circuit, b: Circuit, count: int, seed: int) -> i
     seeded sample set; both must have the same arity and output count."""
     if a.arity != b.arity or len(a.outputs) != len(b.outputs):
         raise ValueError("circuits are not comparable")
-    columns, width = _sample_columns(a.arity, count, seed)
-    ca = a.output_columns(columns, width)
-    cb = b.output_columns(columns, width)
-    return sum((x ^ y).bit_count() for x, y in zip(ca, cb))
+    _, blocks = _sample_blocks(a.arity, count, seed)
+    evaluated = ((first, a.output_columns(cols, width), b.output_columns(cols, width))
+                 for first, cols, width in blocks)
+    return _merge_mismatches(evaluated)[1]
 
 
 # -- symbolic property suite -------------------------------------------------

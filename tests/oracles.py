@@ -6,6 +6,7 @@ direct definition (subset sums, pairwise expansion), not the fast path.
 """
 
 import json
+import random
 from itertools import product
 
 
@@ -116,3 +117,64 @@ def leave_one_out_reference(n, bits, i):
 def all_inputs(n):
     for bits in product((0, 1), repeat=n):
         yield list(bits)
+
+
+def naive_eval(gates, outputs, bits):
+    """Output values at one assignment, gate by gate from the definitions.
+
+    ``gates`` are tuples ``(kind, *operand ids)`` whose first ``len(bits)``
+    entries are the inputs; ``outputs`` are ``(label, gate id)`` pairs.
+    """
+    values = list(bits)
+    for kind, *ops in gates[len(bits):]:
+        if kind == "AND":
+            values.append(int(all(values[o] for o in ops)))
+        elif kind == "XOR":
+            values.append(sum(values[o] for o in ops) % 2)
+        else:  # NOT
+            values.append(1 - values[ops[0]])
+    return [values[gid] for _, gid in outputs]
+
+
+def sampled_columns(n, count, seed):
+    """The sampled check's input columns over its whole width, one int per
+    input: ``count`` seeded random points, then all-zeros, all-ones and the
+    single-zero input of each x_v, in that order."""
+    rng = random.Random(seed)
+    columns = []
+    for v in range(1, n + 1):
+        structured = [0, 1] + [int(u != v) for u in range(1, n + 1)]
+        high = sum(bit << s for s, bit in enumerate(structured))
+        columns.append(rng.getrandbits(count) | high << count)
+    return columns, count + n + 2
+
+
+def sampled_mismatches(circuit, count, seed, other=None):
+    """(mismatch count, first 32 mismatches as report dicts) of ``circuit``
+    on the whole-width sample set, in (output, point) order.
+
+    Expected values are ``other``'s outputs when given, else each output's
+    leave-one-out product taken directly from the input columns.
+    """
+    n = circuit.arity
+    columns, width = sampled_columns(n, count, seed)
+    got = circuit.output_columns(columns, width)
+    if other is not None:
+        expected = other.output_columns(columns, width)
+    else:
+        ones = (1 << width) - 1
+        expected = []
+        for i in range(n):
+            col = ones
+            for j, c in enumerate(columns):
+                if j != i:
+                    col &= c
+            expected.append(col)
+    found = []
+    for out_idx, (g, e) in enumerate(zip(got, expected), start=1):
+        for t in range(width):
+            if (g >> t) & 1 != (e >> t) & 1:
+                found.append({"input": "".join(str((c >> t) & 1) for c in columns),
+                              "output_index": out_idx,
+                              "expected": (e >> t) & 1, "got": (g >> t) & 1})
+    return len(found), found[:32]

@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 
 from xagsynth import AND, NOT, XOR, Anf, Circuit, CircuitBuilder, Monomial, export_bristol
 
-from oracles import all_inputs, naive_reachable
+from oracles import all_inputs, naive_eval, naive_reachable
 
 
 def sigma3_builder():
@@ -108,6 +109,50 @@ class TestEval:
         sq = b.and_(a, a)
         c = b.finish([("a", a), ("y", b.xor(sq, x2)), ("n", b.not_(a))])
         assert [t.values() for t in c.eval_all()] == [[0, 0, 0, 1], [0, 0, 1, 0], [1, 1, 1, 0]]
+
+    def test_forward_pass_matches_gate_by_gate_oracle(self):
+        # every branch of the pass: AND(a, a), XOR(a, a), a three-operand
+        # XOR, NOT, a dead gate and an output that a later gate reads
+        b = CircuitBuilder(3)
+        x1, x2, x3 = 0, 1, 2
+        sq = b.and_(x1, x1)
+        zero = b.xor(x2, x2)
+        wide = b.xor(x1, x2, x3)
+        b.and_(wide, x3)  # dead
+        inv = b.not_(wide)
+        y = b.and_(inv, b.xor(sq, zero, x3))
+        c = b.finish([("wide", wide), ("y", y), ("z", zero), ("t", b.xor(wide, y))])
+        width = 1 << 3
+        columns = [sum(((x >> j) & 1) << x for x in range(width)) for j in range(3)]
+        got = c.output_columns(columns, width)
+        for x in range(width):
+            bits = [(x >> j) & 1 for j in range(3)]
+            assert [(col >> x) & 1 for col in got] == naive_eval(c.gates, c.outputs, bits)
+
+    def test_cached_last_uses_serve_every_width(self):
+        # one last-use table, filled by the first pass, serves a later pass
+        # at another width
+        b = CircuitBuilder(4)
+        g = b.and_(b.xor(0, 1, 2), b.not_(3))
+        c = b.finish([("g", g), ("h", b.xor(g, 0, g))])
+        assert c._last is None
+        point = [1, 0, 0, 1]
+        assert list(c.output_columns(point, 1)) == naive_eval(c.gates, c.outputs, point)
+        table = c._last
+        rng = random.Random(5)
+        columns = [rng.getrandbits(64) for _ in range(4)]
+        got = c.output_columns(columns, 64)
+        assert c._last is table
+        for t in range(64):
+            bits = [(col >> t) & 1 for col in columns]
+            assert [(col >> t) & 1 for col in got] == naive_eval(c.gates, c.outputs, bits)
+
+    def test_export_leaves_the_last_use_table_unbuilt(self):
+        # exporting never evaluates, so it does not pay for the table
+        b, s = sigma3_builder()
+        c = b.finish([("s", s)])
+        export_bristol(c)
+        assert c.and_count() == 1 and c._last is None
 
     def test_dead_columns_are_released(self):
         width = 1 << 20
@@ -244,6 +289,12 @@ class TestEvalAgreement:
             got = c.eval(bits)
             for k, t in enumerate(tables):
                 assert got[k] == t.value(point)
+
+    @given(random_circuits())
+    @settings(max_examples=40, deadline=None)
+    def test_eval_matches_gate_by_gate_oracle(self, c):
+        for bits in all_inputs(c.arity):
+            assert list(c.eval(bits)) == naive_eval(c.gates, c.outputs, bits)
 
     @given(random_circuits())
     @settings(max_examples=40, deadline=None)

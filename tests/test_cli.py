@@ -224,6 +224,20 @@ class TestStreamingMemory:
         assert peak - synth_only_mib <= 16, (peak, synth_only_mib)
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB")
+class TestSampledMemory:
+    # the structured points are evaluated in fixed-width blocks, so a
+    # sampled check costs a margin over the circuit that grows with
+    # n * samples, not with n^2
+    N = 12000
+
+    def test_sampled_verify_peaks_near_the_circuit(self):
+        synth_only = _child_peak_mib(["-c", f"import xagsynth.cli; xagsynth.synthesize({self.N})"])
+        peak = _child_peak_mib(["-m", "xagsynth.cli", "verify", "--n", str(self.N),
+                                "--mode", "sample", "--samples", "1000"])
+        assert peak - synth_only <= 24, (peak, synth_only)
+
+
 class TestResourceErrors:
     def test_sample_count_too_large_to_draw_is_usage_error(self, capsys):
         # refused by the random generator before any column is allocated

@@ -1,11 +1,15 @@
+import hashlib
+import json
 import tracemalloc
 
 import pytest
 
+import xagsynth.verify
 from xagsynth import (
     BASELINE,
     OPTIMAL,
     Anf,
+    Circuit,
     check_exhaustive,
     check_lemma_suite,
     check_sampled,
@@ -18,7 +22,7 @@ from xagsynth import (
 )
 from xagsynth.verify import MISMATCH_CAP
 
-from oracles import all_inputs, leave_one_out_reference
+from oracles import all_inputs, leave_one_out_reference, sampled_mismatches
 
 
 class TestReference:
@@ -166,6 +170,73 @@ class TestSampled:
         a = synthesize(101, OPTIMAL)
         b = synthesize(101, BASELINE)
         assert compare_circuits_sampled(a, b, 2000, seed=9) == 0
+
+    def test_compare_count_must_be_positive(self):
+        # no silent comparison on the structured points alone
+        c = synthesize(5)
+        with pytest.raises(ValueError, match="at least 1"):
+            compare_circuits_sampled(c, c, 0, seed=1)
+
+
+def _with_zero_outputs(circuit, indices):
+    """The circuit with the given outputs tapped at a constant 0, XOR(x1, x1)."""
+    zero = len(circuit.gates)
+    c = Circuit(circuit.arity, circuit.gates + (("XOR", 0, 0),), circuit.outputs)
+    for k in indices:
+        c = c.replace_output(k, zero)
+    return c
+
+
+def _report_sha256(report):
+    return hashlib.sha256((json.dumps(report.to_dict(), indent=2) + "\n").encode()).hexdigest()
+
+
+class TestSampledBlocks:
+    # report bytes as the whole-width check wrote them, before the sample
+    # set was evaluated in blocks of points
+    @pytest.mark.parametrize("n, count, seed, mutate, digest", [
+        (4097, 10000, 42, None,  # the README example
+         "a7aa892f6f1cf67ff2a9533fc4f59365aeeff97ed5308cfd0dccfdae23789060"),
+        (16384, 10000, 7, None,
+         "df1cb861eb8acf2902671dbae61712e4a0db69ddab7f3a679ebc6004b23932a0"),
+        (4100, 37, 5, lambda c: c.replace_output(4098, 0),  # output 4099 reads x1
+         "212dba47b68b173a1eb1ad0b24237d618a5e8465a153e01cf0f4d70099c5f38c"),
+        (4100, 37, 5, lambda c: _with_zero_outputs(c, [4099]),
+         "f6432a5dbbe7d095a00bce7ab3785c02cc02804edc3451d260f4eacf7387842c"),
+    ])
+    def test_report_bytes_pinned(self, n, count, seed, mutate, digest):
+        c = synthesize(n)
+        if mutate is not None:
+            c = mutate(c)
+        assert _report_sha256(check_sampled(c, count, seed)) == digest
+
+    @pytest.mark.parametrize("n", [3, 5, 12, 30])
+    @pytest.mark.parametrize("count", [1, 9, 40])
+    def test_block_merge_matches_whole_width_oracle(self, monkeypatch, n, count):
+        # with 7-point blocks, small n crosses the random/structured boundary
+        # and several structured blocks; at n = 30 a mutant's mismatches pass
+        # the cap and spread over many outputs
+        monkeypatch.setattr(xagsynth.verify, "STRUCTURED_BLOCK", 7)
+        good = synthesize(n)
+        outs = [gid for _, gid in good.outputs]
+        rotated = good
+        for k in range(n):
+            rotated = rotated.replace_output(k, outs[(k + 1) % n])
+        inputs = good
+        for k in range(0, n, 3):
+            inputs = inputs.replace_output(k, k)
+        mutants = [good, rotated, inputs, _with_zero_outputs(good, range(1, n, 2))]
+        for seed, c in enumerate(mutants):
+            r = check_sampled(c, count, seed)
+            total, first = sampled_mismatches(c, count, seed)
+            assert (r.mismatch_count, [m.to_dict() for m in r.mismatches]) == (total, first)
+            assert r.passed == (total == 0) and r.inputs_checked == count + n + 2
+            assert compare_circuits_sampled(c, good, count, seed) == \
+                sampled_mismatches(c, count, seed, other=good)[0]
+        if n == 30:
+            r = check_sampled(rotated, count, 1)
+            assert r.mismatch_count > MISMATCH_CAP
+            assert len({m.output_index for m in r.mismatches}) >= MISMATCH_CAP // 2
 
 
 class TestLemmaSuite:
