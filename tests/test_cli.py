@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import stat
@@ -117,6 +118,12 @@ class TestLemmasCommand:
         assert cli(["lemmas", "--max-n", "6"]) == 0
         out = capsys.readouterr().out
         assert "stage1-sigma n=6: pass" in out
+
+    def test_stdout_bytes_pinned(self, capsys):
+        assert cli(["lemmas", "--max-n", "12"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "84a8a28b1d42b860e0e7a706f7ee9cba3697cdb1525d6bf9282e7ba7d7c7e5c8"
 
     def test_bad_range(self):
         assert cli(["lemmas", "--max-n", "99"]) == 2

@@ -137,6 +137,13 @@ class TestExhaustive:
         assert len(r.mismatches) == MISMATCH_CAP
         assert r.mismatch_count > MISMATCH_CAP
 
+    def test_failing_report_bytes_pinned(self):
+        c = synthesize_plan(6, OPTIMAL).circuit
+        for k in range(6):
+            c = c.replace_output(k, 0)
+        assert _report_sha256(check_exhaustive(c)) == \
+            "06c2f7e1ecbee1475fe5df25e73df92b26ddf7a04c174588aa3233392862b4b6"
+
     def test_report_round_trips_to_dict(self):
         d = check_exhaustive(synthesize(4, OPTIMAL), expected_and_count=5).to_dict()
         assert d["passed"] is True and d["mode"] == "exhaustive"
