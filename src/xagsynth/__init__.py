@@ -24,7 +24,6 @@ from .verify import (
     check_sampled,
     compare_circuits_sampled,
     reference_anf,
-    reference_f,
     reference_table_bits,
     sigma_anf,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "check_sampled",
     "compare_circuits_sampled",
     "reference_anf",
-    "reference_f",
     "reference_table_bits",
     "sigma_anf",
 ]

@@ -13,7 +13,7 @@ arity 24 (a 2 MiB table); symbolic arithmetic has no such cap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .bitops import full_mask, iter_one_bits, mobius_transform
 
@@ -71,27 +71,6 @@ class TruthTable:
         if not 0 <= self.bits <= full_mask(1 << self.arity):
             raise ValueError("table has bits beyond 2^arity entries")
 
-    @classmethod
-    def from_values(cls, arity: int, values: Sequence[int]) -> "TruthTable":
-        if len(values) != 1 << arity:
-            raise ValueError(f"expected {1 << arity} entries, got {len(values)}")
-        bits = 0
-        for x, v in enumerate(values):
-            if v:
-                bits |= 1 << x
-        return cls(arity, bits)
-
-    def value(self, point: int) -> int:
-        if not 0 <= point < (1 << self.arity):
-            raise ValueError(f"point {point} out of range for arity {self.arity}")
-        return (self.bits >> point) & 1
-
-    def values(self) -> list[int]:
-        return [(self.bits >> x) & 1 for x in range(1 << self.arity)]
-
-    def __len__(self) -> int:
-        return 1 << self.arity
-
 
 @dataclass(frozen=True)
 class Anf:
@@ -118,14 +97,6 @@ class Anf:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, arity: int) -> "Anf":
-        return cls(arity)
-
-    @classmethod
-    def one(cls, arity: int) -> "Anf":
-        return cls(arity, [Monomial()])
-
-    @classmethod
     def monomial(cls, arity: int, indices: Iterable[int]) -> "Anf":
         return cls(arity, [Monomial.of(*indices)])
 
@@ -144,8 +115,6 @@ class Anf:
         """GF(2) addition: symmetric difference of term sets."""
         self._check_arity(other)
         return Anf(self.arity, self.terms ^ other.terms)
-
-    __xor__ = __add__
 
     def __mul__(self, other: "Anf") -> "Anf":
         """GF(2) product; identical cross terms cancel in pairs."""

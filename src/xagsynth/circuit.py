@@ -241,10 +241,6 @@ class Circuit:
                 cols[gid] = v
         return [cols[gid] for _, gid in self.outputs]
 
-    def eval(self, bits: Sequence[int]) -> tuple[int, ...]:
-        """Evaluate on one input, given as a bit sequence for x_1..x_n."""
-        return tuple(self.output_columns([int(bool(b)) for b in bits], 1))
-
     def eval_all(self) -> list[TruthTable]:
         """Truth table of every output over all 2^arity inputs."""
         if self.arity > MAX_DENSE_ARITY:

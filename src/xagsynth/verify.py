@@ -11,8 +11,7 @@ almost surely all-zero outputs at large arity.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import asdict, dataclass
 
 from .anf import MAX_DENSE_ARITY, Anf, Monomial
 from .bitops import full_mask, iter_one_bits
@@ -24,21 +23,6 @@ STRUCTURED_BLOCK = 4096  # structured sample points evaluated per block
 
 EXHAUSTIVE = "exhaustive"
 SAMPLED = "sampled"
-
-
-def reference_f(n: int, bits: Sequence[int]) -> tuple[int, ...]:
-    """Direct evaluation: output i is the AND of all inputs except bit i.
-
-    No circuit involved; classifies the input by its zero count.
-    """
-    if len(bits) != n:
-        raise ValueError(f"expected {n} input bits, got {len(bits)}")
-    zeros = [i for i, b in enumerate(bits) if not b]
-    if len(zeros) == 0:
-        return (1,) * n
-    if len(zeros) == 1:
-        return tuple(1 if i == zeros[0] else 0 for i in range(n))
-    return (0,) * n
 
 
 def reference_anf(n: int, i: int) -> Anf:
@@ -66,48 +50,30 @@ def reference_table_bits(n: int, i: int) -> int:
 
 @dataclass
 class Mismatch:
-    input_bits: tuple[int, ...]
+    input: str  # the point's bits, x_1 first
     output_index: int  # 1-based
     expected: int
     got: int
 
-    def to_dict(self) -> dict:
-        return {
-            "input": "".join(str(b) for b in self.input_bits),
-            "output_index": self.output_index,
-            "expected": self.expected,
-            "got": self.got,
-        }
-
 
 @dataclass
 class VerificationReport:
+    """A check's outcome; the fields are in the JSON report's key order."""
+
     mode: str
     arity: int
     inputs_checked: int
     outputs_checked: int
+    mismatch_count: int  # total, may exceed len(mismatches) due to the cap
     mismatches: list[Mismatch]
     and_count_observed: int
     and_count_expected: int | None
+    sample_count: int | None
+    seed: int | None
     passed: bool
-    sample_count: int | None = None
-    seed: int | None = None
-    mismatch_count: int = 0  # total, may exceed len(mismatches) due to the cap
 
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "arity": self.arity,
-            "inputs_checked": self.inputs_checked,
-            "outputs_checked": self.outputs_checked,
-            "mismatch_count": self.mismatch_count,
-            "mismatches": [m.to_dict() for m in self.mismatches],
-            "and_count_observed": self.and_count_observed,
-            "and_count_expected": self.and_count_expected,
-            "sample_count": self.sample_count,
-            "seed": self.seed,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 def _merge_mismatches(blocks):
@@ -135,19 +101,16 @@ def _merge_mismatches(blocks):
     return kept, total
 
 
-def _report(mode, circuit, inputs_checked, blocks, point_bits_at,
-            expected_and_count, **extra) -> VerificationReport:
+def _report(mode, circuit, inputs_checked, blocks, point_at, expected_and_count,
+            sample_count=None, seed=None) -> VerificationReport:
     """Merge the blocks' mismatches, count ANDs and decide pass/fail in one place."""
     kept, total = _merge_mismatches(blocks)
-    mismatches = [Mismatch(point_bits_at(t), out_idx, exp, got) for out_idx, t, exp, got in kept]
+    mismatches = [Mismatch(point_at(t), out_idx, exp, got) for out_idx, t, exp, got in kept]
     observed = circuit.and_count()
     passed = total == 0 and (expected_and_count is None or observed == expected_and_count)
-    return VerificationReport(
-        mode=mode, arity=circuit.arity, inputs_checked=inputs_checked,
-        outputs_checked=circuit.arity, mismatches=mismatches, mismatch_count=total,
-        and_count_observed=observed, and_count_expected=expected_and_count,
-        passed=passed, **extra,
-    )
+    return VerificationReport(mode, circuit.arity, inputs_checked, circuit.arity, total,
+                              mismatches, observed, expected_and_count, sample_count, seed,
+                              passed)
 
 
 def check_exhaustive(circuit: Circuit, expected_and_count: int | None = None) -> VerificationReport:
@@ -160,10 +123,10 @@ def check_exhaustive(circuit: Circuit, expected_and_count: int | None = None) ->
     got = [t.bits for t in circuit.eval_all()]
     expected = [reference_table_bits(n, i) for i in range(1, n + 1)]
 
-    def point_bits(x: int) -> tuple[int, ...]:
-        return tuple((x >> j) & 1 for j in range(n))
+    def point(x: int) -> str:
+        return format(x, f"0{n}b")[::-1]
 
-    return _report(EXHAUSTIVE, circuit, 1 << n, [(0, got, expected)], point_bits,
+    return _report(EXHAUSTIVE, circuit, 1 << n, [(0, got, expected)], point,
                    expected_and_count)
 
 
@@ -219,13 +182,13 @@ def check_sampled(circuit: Circuit, count: int, seed: int,
     evaluated = ((first, circuit.output_columns(cols, width), leave_one_out_columns(cols, width))
                  for first, cols, width in blocks)
 
-    def point_bits(t: int) -> tuple[int, ...]:
+    def point(t: int) -> str:
         if t < count:
-            return tuple((c >> t) & 1 for c in columns)
-        return tuple(_structured_columns(n, t - count, 1))
+            return "".join(str((c >> t) & 1) for c in columns)
+        return "".join(map(str, _structured_columns(n, t - count, 1)))
 
-    return _report(SAMPLED, circuit, count + n + 2, evaluated, point_bits, expected_and_count,
-                   sample_count=count, seed=seed)
+    return _report(SAMPLED, circuit, count + n + 2, evaluated, point, expected_and_count,
+                   count, seed)
 
 
 def leave_one_out_columns(columns: list[int], width: int) -> list[int]:
@@ -263,24 +226,6 @@ class LemmaCheck:
     detail: str = ""
 
 
-@dataclass
-class LemmaSuiteResult:
-    checks: list[LemmaCheck] = field(default_factory=list)
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def to_dict(self) -> dict:
-        return {
-            "all_passed": self.all_passed,
-            "checks": [
-                {"name": c.name, "n": c.n, "passed": c.passed, "detail": c.detail}
-                for c in self.checks
-            ],
-        }
-
-
 def _gf2_rank(rows: list[int]) -> int:
     rank = 0
     basis: list[int] = []
@@ -294,25 +239,12 @@ def _gf2_rank(rows: list[int]) -> int:
     return rank
 
 
-def _stage_intermediate_anfs(n: int) -> list[Anf]:
-    """Symbolic ANFs of the n intermediates: sigma_n plus the stage-2 nodes."""
-    sig = sigma_anf(n)
-    hi = n - 1 if n % 2 else n - 2
-    nodes = [sig]
-    for i in range(1, hi + 1):
-        nodes.append(Anf.linear(n, [i, i + 1]) * sig)
-    if n % 2 == 0:
-        odd_sig = Anf(n, sigma_anf(n - 1).terms)  # sigma_{n-1} widened to arity n
-        nodes.append(odd_sig * Anf.linear(n, range(1, n)))
-    return nodes
-
-
-def check_lemma_suite(n_max: int) -> LemmaSuiteResult:
+def check_lemma_suite(n_max: int) -> list[LemmaCheck]:
     """Run the symbolic property suite for every arity 3..n_max."""
     if not 3 <= n_max <= 16:
         raise ValueError("n_max must be in 3..16")
-    result = LemmaSuiteResult()
-    add = result.checks.append
+    checks: list[LemmaCheck] = []
+    add = checks.append
 
     for n in range(3, n_max + 1):
         sig = sigma_anf(n)
@@ -329,28 +261,26 @@ def check_lemma_suite(n_max: int) -> LemmaSuiteResult:
 
         # each pair product (x_i XOR x_{i+1}) * sigma_n keeps exactly the two
         # monomials missing x_i and x_{i+1}
-        ok = True
-        detail = ""
-        for i in range(1, n):
-            product = Anf.linear(n, [i, i + 1]) * sig
-            expected = reference_anf(n, i) + reference_anf(n, i + 1)
-            if product != expected:
-                ok = False
-                detail = f"i={i}: got {product}"
-                break
-        add(LemmaCheck("pair-product-two-monomials", n, ok, detail))
+        pairs = [Anf.linear(n, [i, i + 1]) * sig for i in range(1, n)]
+        bad = [i for i, product in enumerate(pairs, start=1)
+               if product != reference_anf(n, i) + reference_anf(n, i + 1)]
+        detail = f"i={bad[0]}: got {pairs[bad[0] - 1]}" if bad else ""
+        add(LemmaCheck("pair-product-two-monomials", n, not bad, detail))
 
-        # even arity: sigma_{n-1} * (x_1 + ... + x_{n-1}) collapses to the
-        # single monomial x_1...x_{n-1}
-        if n % 2 == 0:
-            odd_sig = Anf(n, sigma_anf(n - 1).terms)
+        # the n intermediates: sigma_n and the stage-2 nodes, whose last one
+        # for even arity is sigma_{n-1} * (x_1 + ... + x_{n-1}); that product
+        # collapses to the single monomial x_1...x_{n-1}
+        if n % 2:
+            intermediates = [sig, *pairs]
+        else:
+            odd_sig = Anf(n, sigma_anf(n - 1).terms)  # sigma_{n-1} widened to arity n
             product = odd_sig * Anf.linear(n, range(1, n))
-            expected = Anf.monomial(n, range(1, n))
-            add(LemmaCheck("even-last-output", n, product == expected, str(product)))
+            ok = product == Anf.monomial(n, range(1, n))
+            add(LemmaCheck("even-last-output", n, ok, str(product)))
+            intermediates = [sig, *pairs[:-1], product]
 
         # stage-3 extraction: the first-output formula and the XOR chain
         # reproduce each single leave-one-out monomial
-        intermediates = _stage_intermediate_anfs(n)
         if n % 2:
             f = sig
             for i in range(1, (n - 1) // 2 + 1):
@@ -386,4 +316,4 @@ def check_lemma_suite(n_max: int) -> LemmaSuiteResult:
         independent = independent and rank == n
         add(LemmaCheck("linear-independence", n, independent, f"rank={rank}"))
 
-    return result
+    return checks

@@ -32,6 +32,11 @@ def naive_table(n, func):
     return out
 
 
+def table_int(table):
+    """A list table as one int: entry x is bit x."""
+    return sum(v << x for x, v in enumerate(table))
+
+
 def naive_anf_table(n, terms):
     return naive_table(n, lambda bits: naive_anf_value(terms, bits))
 
@@ -85,6 +90,23 @@ def naive_reachable(gates, outputs):
         seen.add(gid)
         stack.extend(gates[gid][1:])
     return seen
+
+
+def naive_gf2_rank(rows):
+    """Rank over GF(2) of rows given as int bitsets, by Gauss-Jordan
+    elimination one pivot column at a time."""
+    rows = list(rows)
+    rank = 0
+    for col in range(max(rows, default=0).bit_length()):
+        pivot = next((k for k in range(rank, len(rows)) if (rows[k] >> col) & 1), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for k in range(len(rows)):
+            if k != rank and (rows[k] >> col) & 1:
+                rows[k] ^= rows[rank]
+        rank += 1
+    return rank
 
 
 def json_dumps_circuit(circuit, construction=None):

@@ -9,6 +9,7 @@ from oracles import (
     naive_anf_terms,
     naive_multiply,
     naive_table,
+    table_int,
 )
 
 
@@ -42,7 +43,7 @@ class TestMonomial:
 class TestAdd:
     def test_self_cancellation(self):
         a = anf_of(3, (1, 2))
-        assert a + a == Anf.zero(3)
+        assert a + a == Anf(3)
 
     def test_symmetric_difference(self):
         a = anf_of(3, (1, 2), (2, 3))
@@ -51,7 +52,7 @@ class TestAdd:
 
     def test_arity_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            Anf.zero(3) + Anf.zero(4)
+            Anf(3) + Anf(4)
 
     def test_sum_of_first_two_outputs_n3(self):
         # expected value computed with the naive Moebius oracle on the
@@ -61,8 +62,8 @@ class TestAdd:
         t2 = naive_table(n, lambda bits: bits[0] & bits[2])
         expected = naive_anf_terms(n, t1) ^ naive_anf_terms(n, t2)
         assert expected == {frozenset({2, 3}), frozenset({1, 3})}
-        a1 = Anf.from_truth_table(TruthTable.from_values(n, t1))
-        a2 = Anf.from_truth_table(TruthTable.from_values(n, t2))
+        a1 = Anf.from_truth_table(TruthTable(n, table_int(t1)))
+        a2 = Anf.from_truth_table(TruthTable(n, table_int(t2)))
         assert as_term_set(a1 + a2) == expected
 
 
@@ -74,8 +75,8 @@ class TestMultiply:
 
     def test_zero_annihilates(self):
         a = anf_of(4, (1, 2), (3, 4))
-        assert a * Anf.zero(4) == Anf.zero(4)
-        assert Anf.zero(4) * a == Anf.zero(4)
+        assert a * Anf(4) == Anf(4)
+        assert Anf(4) * a == Anf(4)
 
     def test_degree3_sum_times_linear_sum(self):
         # brute-force expansion of all 16 pair products: every degree-3
@@ -91,12 +92,12 @@ class TestMultiply:
 
     def test_arity_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            Anf.zero(3) * Anf.zero(4)
+            Anf(3) * Anf(4)
 
 
 class TestDegree:
     def test_zero_polynomial(self):
-        assert Anf.zero(5).degree() == 0
+        assert Anf(5).degree() == 0
 
     def test_majority_of_three(self):
         assert anf_of(3, (1, 2), (2, 3), (1, 3)).degree() == 2
@@ -107,34 +108,30 @@ class TestDegree:
 
 class TestTruthTableConversion:
     def test_all_zeros(self):
-        assert Anf.from_truth_table(TruthTable(3, 0)) == Anf.zero(3)
-        assert Anf.zero(3).to_truth_table() == TruthTable(3, 0)
+        assert Anf.from_truth_table(TruthTable(3, 0)) == Anf(3)
+        assert Anf(3).to_truth_table() == TruthTable(3, 0)
 
     def test_constant_one(self):
-        t = Anf.one(2).to_truth_table()
-        assert t.values() == [1, 1, 1, 1]
+        t = Anf(2, [Monomial()]).to_truth_table()
+        assert t.bits == table_int([1, 1, 1, 1])
 
     def test_majority_table(self):
         t = naive_table(3, lambda bits: int(sum(bits) >= 2))
-        a = Anf.from_truth_table(TruthTable.from_values(3, t))
+        a = Anf.from_truth_table(TruthTable(3, table_int(t)))
         assert a == anf_of(3, (1, 2), (2, 3), (1, 3))
 
     def test_second_output_n4(self):
         t = naive_table(4, lambda bits: bits[0] & bits[2] & bits[3])
-        a = Anf.from_truth_table(TruthTable.from_values(4, t))
+        a = Anf.from_truth_table(TruthTable(4, table_int(t)))
         assert a == anf_of(4, (1, 3, 4))
 
     def test_majority_to_table(self):
         t = anf_of(3, (1, 2), (2, 3), (1, 3)).to_truth_table()
-        assert t.values() == naive_table(3, lambda bits: int(sum(bits) >= 2))
+        assert t.bits == table_int(naive_table(3, lambda bits: int(sum(bits) >= 2)))
 
     def test_dense_arity_capped(self):
         with pytest.raises(ValueError):
             TruthTable(25, 0)
-
-    def test_table_length_checked(self):
-        with pytest.raises(ValueError):
-            TruthTable.from_values(3, [0] * 7)
 
 
 monomials = st.integers(min_value=0, max_value=255).map(Monomial)
@@ -158,7 +155,7 @@ class TestProperties:
     @given(anfs8, anfs8, anfs8)
     @settings(max_examples=40, deadline=None)
     def test_ring_laws(self, a, b, c):
-        zero, one = Anf.zero(8), Anf.one(8)
+        zero, one = Anf(8), Anf(8, [Monomial()])
         assert (a + b) + c == a + (b + c)
         assert a + b == b + a
         assert a + zero == a
@@ -187,4 +184,4 @@ class TestProperties:
     @settings(max_examples=25, deadline=None)
     def test_table_matches_naive_evaluation(self, a):
         expected = naive_anf_table(8, [m.vars for m in a.terms])
-        assert a.to_truth_table().values() == expected
+        assert a.to_truth_table().bits == table_int(expected)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from xagsynth import AND, NOT, XOR, Anf, Circuit, CircuitBuilder, Monomial, export_bristol
 
-from oracles import all_inputs, naive_eval, naive_reachable
+from oracles import all_inputs, naive_eval, naive_reachable, table_int
 
 
 def sigma3_builder():
@@ -39,13 +39,13 @@ class TestBuilder:
         g = b.and_(x1, x1)
         assert g != x1
         c = b.finish([("y", g)])
-        assert c.eval([0]) == (0,) and c.eval([1]) == (1,)
+        assert c.output_columns([0], 1) == [0] and c.output_columns([1], 1) == [1]
 
     def test_not_is_complement(self):
         b = CircuitBuilder(1)
         x1 = 0
         c = b.finish([("y", b.not_(x1))])
-        assert c.eval([0]) == (1,) and c.eval([1]) == (0,)
+        assert c.output_columns([0], 1) == [1] and c.output_columns([1], 1) == [0]
 
     def test_unknown_operand_rejected(self):
         b = CircuitBuilder(2)
@@ -63,28 +63,28 @@ class TestEval:
     def test_all_ones_input(self):
         from xagsynth import synthesize
         c = synthesize(3)
-        assert c.eval([1, 1, 1]) == (1, 1, 1)
+        assert c.output_columns([1, 1, 1], 1) == [1, 1, 1]
 
     def test_two_zeros_kill_everything(self):
         from xagsynth import synthesize
         c = synthesize(4)
-        assert c.eval([1, 0, 0, 1]) == (0, 0, 0, 0)
+        assert c.output_columns([1, 0, 0, 1], 1) == [0, 0, 0, 0]
 
     def test_single_zero_selects_one_output(self):
         from xagsynth import synthesize
         c = synthesize(4)
-        assert c.eval([1, 0, 1, 1]) == (0, 1, 0, 0)
+        assert c.output_columns([1, 0, 1, 1], 1) == [0, 1, 0, 0]
 
     def test_wrong_input_length(self):
         from xagsynth import synthesize
         with pytest.raises(ValueError):
-            synthesize(3).eval([1, 1])
+            synthesize(3).output_columns([1, 1], 1)
 
     def test_input_passthrough_table(self):
         b = CircuitBuilder(2)
         x1 = 0
         c = b.finish([("y", x1)])
-        assert c.eval_all()[0].values() == [0, 1, 0, 1]
+        assert c.eval_all()[0].bits == table_int([0, 1, 0, 1])
 
     def test_sigma3_table_matches_anf(self):
         b, s = sigma3_builder()
@@ -108,7 +108,8 @@ class TestEval:
         b.xor(a, x1)  # unread
         sq = b.and_(a, a)
         c = b.finish([("a", a), ("y", b.xor(sq, x2)), ("n", b.not_(a))])
-        assert [t.values() for t in c.eval_all()] == [[0, 0, 0, 1], [0, 0, 1, 0], [1, 1, 1, 0]]
+        expected = [[0, 0, 0, 1], [0, 0, 1, 0], [1, 1, 1, 0]]
+        assert [t.bits for t in c.eval_all()] == [table_int(t) for t in expected]
 
     def test_forward_pass_matches_gate_by_gate_oracle(self):
         # every branch of the pass: AND(a, a), XOR(a, a), a three-operand
@@ -253,8 +254,8 @@ class TestStructure:
         x1, x2 = 0, 1
         c = b.finish([("y", b.and_(x1, x2))])
         c2 = c.replace_output(0, x1)
-        assert c2.eval([1, 0]) == (1,)
-        assert c.eval([1, 0]) == (0,)  # original untouched
+        assert c2.output_columns([1, 0], 1) == [1]
+        assert c.output_columns([1, 0], 1) == [0]  # original untouched
 
 
 @st.composite
@@ -286,15 +287,15 @@ class TestEvalAgreement:
         tables = c.eval_all()
         for bits in all_inputs(c.arity):
             point = sum(b << j for j, b in enumerate(bits))
-            got = c.eval(bits)
+            got = c.output_columns(bits, 1)
             for k, t in enumerate(tables):
-                assert got[k] == t.value(point)
+                assert got[k] == (t.bits >> point) & 1
 
     @given(random_circuits())
     @settings(max_examples=40, deadline=None)
     def test_eval_matches_gate_by_gate_oracle(self, c):
         for bits in all_inputs(c.arity):
-            assert list(c.eval(bits)) == naive_eval(c.gates, c.outputs, bits)
+            assert c.output_columns(bits, 1) == naive_eval(c.gates, c.outputs, bits)
 
     @given(random_circuits())
     @settings(max_examples=40, deadline=None)

@@ -10,9 +10,11 @@ import tracemalloc
 import pytest
 
 import xagsynth
+import xagsynth.verify
 from xagsynth import (
     BASELINE,
     OPTIMAL,
+    Anf,
     Circuit,
     check_exhaustive,
     export_bristol,
@@ -124,6 +126,15 @@ class TestLemmasCommand:
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == \
             "84a8a28b1d42b860e0e7a706f7ee9cba3697cdb1525d6bf9282e7ba7d7c7e5c8"
+
+    def test_failing_check_exits_one_with_its_detail(self, monkeypatch, capsys):
+        # sigma_3 replaced by x1: (x1 + x2) * x1 = x1 + x1x2 is not two
+        # degree-2 monomials, so the pair-product check fails
+        monkeypatch.setattr(xagsynth.verify, "sigma_anf", lambda n: Anf.linear(n, [1]))
+        assert cli(["lemmas", "--max-n", "3"]) == 1
+        captured = capsys.readouterr()
+        assert "FAILURES present" in captured.err
+        assert "pair-product-two-monomials n=3: FAIL  (i=1: got x1 + x1x2)" in captured.out
 
     def test_bad_range(self):
         assert cli(["lemmas", "--max-n", "99"]) == 2

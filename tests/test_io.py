@@ -22,7 +22,7 @@ from xagsynth import (
     synthesize,
 )
 
-from oracles import all_inputs, json_dumps_circuit
+from oracles import all_inputs, json_dumps_circuit, naive_eval
 
 
 def and_lines(doc):
@@ -150,7 +150,7 @@ class TestBristolRoundTrip:
         c = b.finish([("y", y)])
         again = import_bristol(export_bristol(c))
         for bits in all_inputs(3):
-            assert again.eval(bits) == c.eval(bits)
+            assert again.output_columns(bits, 1) == naive_eval(c.gates, c.outputs, bits)
 
     @pytest.mark.parametrize("n", range(3, 65, 9))
     def test_and_line_conservation_larger(self, n):

@@ -5,12 +5,24 @@ from pathlib import Path
 
 import pytest
 
+import xagsynth
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S)
 
 
 def test_readme_has_python_blocks():
     assert BLOCKS
+
+
+def test_export_list_names_each_public_name_once():
+    names = xagsynth.__all__
+    assert len(set(names)) == len(names)
+    assert all(hasattr(xagsynth, name) for name in names)
+    namespace = {}
+    exec("from xagsynth import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(names)
 
 
 @pytest.mark.parametrize("block", BLOCKS)
