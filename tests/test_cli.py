@@ -225,6 +225,30 @@ def _child_peak_mib(argv):
     return kib / 1024  # ru_maxrss is in KiB on Linux
 
 
+# Installs the benchmark tracer's shims on a fresh Tracer and prints the
+# names it found nothing to wrap for. Run in a child, so the shims never
+# reach this test session's modules.
+_TRACER_MISSING = """import json, sys
+sys.path.insert(0, sys.argv[1])
+import tracer
+t = tracer.Tracer(memory=False)
+tracer.install_all(t)
+print(json.dumps(t.missing))
+"""
+
+
+def test_benchmark_tracer_finds_the_names_it_wraps():
+    # a per-layer metric whose function was renamed away reads 0 silently;
+    # io_formats.export_bristol is the one known stale name (synth streams
+    # through write_bristol, and the tracer still looks in cli)
+    src = os.path.dirname(os.path.dirname(xagsynth.__file__))
+    perfbench = os.path.join(os.path.dirname(src), "perfbench")
+    out = subprocess.run([sys.executable, "-c", _TRACER_MISSING, perfbench],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True).stdout
+    assert set(json.loads(out)) <= {"io_formats.export_bristol"}
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB")
 class TestStreamingMemory:
     # the artifact streams into the file, so writing it costs a bounded
