@@ -22,7 +22,6 @@ from .verify import (
     check_exhaustive,
     check_lemma_suite,
     check_sampled,
-    compare_circuits_sampled,
     reference_anf,
     reference_table_bits,
     sigma_anf,
@@ -53,7 +52,6 @@ __all__ = [
     "check_exhaustive",
     "check_lemma_suite",
     "check_sampled",
-    "compare_circuits_sampled",
     "reference_anf",
     "reference_table_bits",
     "sigma_anf",

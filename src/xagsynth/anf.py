@@ -5,9 +5,9 @@ A Boolean function has a unique representation as an XOR of monomials
 exactly. Variables are 1-based (x_1..x_n) on every external surface. The
 empty monomial is the constant 1, and the empty polynomial is the constant 0.
 
-Conversions between polynomials and dense truth tables use the GF(2)
-subset-sum butterfly, which is its own inverse. The dense path is capped at
-arity 24 (a 2 MiB table); symbolic arithmetic has no such cap.
+A dense truth table converts to its polynomial by the GF(2) subset-sum
+butterfly, which is its own inverse. The dense path is capped at arity 24
+(a 2 MiB table); symbolic arithmetic has no such cap.
 """
 
 from __future__ import annotations
@@ -130,14 +130,6 @@ class Anf:
         return max((m.degree for m in self.terms), default=0)
 
     # -- truth-table conversion --------------------------------------------
-
-    def to_truth_table(self) -> TruthTable:
-        if self.arity > MAX_DENSE_ARITY:
-            raise ValueError(f"dense table limited to arity {MAX_DENSE_ARITY}")
-        coeffs = 0
-        for m in self.terms:
-            coeffs |= 1 << m.mask
-        return TruthTable(self.arity, mobius_transform(coeffs, self.arity))
 
     @classmethod
     def from_truth_table(cls, table: TruthTable) -> "Anf":

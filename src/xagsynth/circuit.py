@@ -4,8 +4,9 @@ A circuit is an append-only DAG: its inputs, then gates over the basis
 {AND, XOR, NOT}, in which a constant 1 is NOT(XOR(x, x)). Gate ids are dense
 and assigned in creation order, and every gate's operands have strictly
 smaller ids, so id order is a topological order. AND gates are binary; XOR
-gates take two or more operands and are lowered to binary chains only at
-export time; NOT is x XOR 1 and never counts toward the AND total.
+gates take two or more operands, and only the Bristol writer in
+:mod:`xagsynth.io_formats` lowers them to binary chains; NOT is x XOR 1 and
+never counts toward the AND total.
 
 Layout: every gate is ``(kind, *operand ids)``. A circuit of arity n starts
 with its n inputs, each the operand-free ``(INPUT,)``, so input x_v is known
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import sys
 from itertools import compress
-from operator import itemgetter
+from operator import countOf, itemgetter
 from typing import Sequence
 
 from .anf import MAX_DENSE_ARITY, TruthTable
@@ -110,7 +111,7 @@ class Circuit:
         self.arity = arity
         self.gates = gates
         self.outputs = outputs
-        self._walk: tuple[bytearray, int, int] | None = None  # filled by _structure()
+        self._walk: tuple[bytearray, int] | None = None  # filled by _structure()
         self._last: list[int] | None = None  # filled by _last_uses(), on first evaluation
 
     def validate(self) -> None:
@@ -134,13 +135,10 @@ class Circuit:
 
     # -- structure ---------------------------------------------------------
 
-    def __len__(self) -> int:
-        return len(self.gates)
-
-    def _structure(self) -> tuple[bytearray, int, int]:
-        """(reachable flags, reachable ANDs, lowered Bristol lines), walked once and cached."""
+    def _structure(self) -> tuple[bytearray, int]:
+        """(reachable flags, reachable ANDs), walked once and cached."""
         if self._walk is None:
-            n, gates = self.arity, self.gates
+            gates = self.gates
             mark = bytearray(len(gates))
             for _, gid in self.outputs:
                 mark[gid] = 1
@@ -151,11 +149,7 @@ class Circuit:
                 else:
                     for o in gate[1:]:
                         mark[o] = 1
-            live = list(compress(gates[n:], mark[n:]))
-            kinds = list(map(itemgetter(0), live))
-            # zero wire + one line per AND/NOT + (operands - 1) per XOR + output copies
-            lines = 1 + sum(map(len, live)) - 2 * len(live) + kinds.count(NOT) + len(self.outputs)
-            self._walk = (mark, kinds.count(AND), lines)
+            self._walk = (mark, countOf(map(itemgetter(0), compress(gates, mark)), AND))
         return self._walk
 
     def reachable(self) -> bytearray:
@@ -165,19 +159,6 @@ class Circuit:
     def and_count(self) -> int:
         """Number of AND gates reachable from the outputs."""
         return self._structure()[1]
-
-    def bristol_gate_count(self) -> int:
-        """Gate lines of the lowered Bristol document, its header's first number."""
-        return self._structure()[2]
-
-    def replace_output(self, index: int, gid: int) -> "Circuit":
-        """New circuit sharing all gates, with one output re-tapped."""
-        if not 0 <= gid < len(self.gates):
-            raise ValueError(f"unknown gate id {gid}")
-        label, _ = self.outputs[index]
-        outs = list(self.outputs)
-        outs[index] = (label, gid)
-        return Circuit(self.arity, self.gates, tuple(outs))
 
     # -- evaluation --------------------------------------------------------
 

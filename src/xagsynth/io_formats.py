@@ -24,6 +24,7 @@ from array import array
 import json
 import re
 from itertools import chain, compress, islice
+from operator import countOf, itemgetter
 from typing import Iterable, Iterator, TextIO
 
 from .circuit import AND, INPUT, NOT, XOR, Circuit
@@ -57,14 +58,15 @@ def _write_joined(fh: TextIO, items: Iterable[str], sep: str, lead: str = "") ->
     return wrote
 
 
-def _bristol_lines(circuit: Circuit) -> Iterator[str]:
+def _bristol_lines(circuit: Circuit, live: bytearray) -> Iterator[str]:
+    """The gate lines of the lowering, over the gates flagged in ``live``."""
     n, gates = circuit.arity, circuit.gates
     # gate id -> wire, input x_v is wire v - 1; an array holds no int objects
     wire_of = array("q", range(n)) + array("q", [-1]) * (len(gates) - n)
     zero = n  # defined by line 0; read by the output copies
     yield f"2 1 0 0 {zero} XOR"
     w = n + 1  # the wire the next line writes
-    for gid, gate in compress(islice(enumerate(gates), n, None), circuit.reachable()[n:]):
+    for gid, gate in compress(enumerate(gates), live):
         kind, a = gate[0], wire_of[gate[1]]
         if kind == AND:
             yield f"2 1 {a} {wire_of[gate[2]]} {w} AND"
@@ -83,13 +85,18 @@ def _bristol_lines(circuit: Circuit) -> Iterator[str]:
 
 
 def write_bristol(circuit: Circuit, fh: TextIO) -> None:
-    """Write the circuit as Bristol Fashion; the header's gate count comes
-    from the circuit's cached structural pass, so the body streams."""
+    """Write the circuit as Bristol Fashion. The header's gate count is
+    counted from the reachable flags before the body streams."""
     if not circuit.outputs:
         raise ValueError("cannot export a circuit with no outputs")
-    n, count, outs = circuit.arity, circuit.bristol_gate_count(), len(circuit.outputs)
+    n, gates, outs = circuit.arity, circuit.gates, len(circuit.outputs)
+    live = circuit.reachable()
+    live[:n] = bytes(n)  # the inputs are wires, not lines
+    # zero wire + one line per AND/NOT + (operands - 1) per XOR + output copies
+    count = (1 + sum(map(len, compress(gates, live))) - 2 * sum(live)
+             + countOf(map(itemgetter(0), compress(gates, live)), NOT) + outs)
     fh.write(f"{count} {n + count}\n1 {n}\n{outs} {' '.join(['1'] * outs)}\n\n")
-    _write_joined(fh, _bristol_lines(circuit), "\n")
+    _write_joined(fh, _bristol_lines(circuit, live), "\n")
     fh.write("\n")
 
 

@@ -76,8 +76,10 @@ class VerificationReport:
         return asdict(self)
 
 
-def _merge_mismatches(blocks):
-    """Diff output columns block by block and count every mismatch.
+def _report(mode, circuit, inputs_checked, blocks, point_at, expected_and_count,
+            sample_count=None, seed=None) -> VerificationReport:
+    """Diff output columns block by block, count ANDs and decide pass/fail
+    in one place.
 
     ``blocks`` yields ``(first point, got columns, expected columns)`` in
     point order. Only the MISMATCH_CAP smallest ``(output, point, expected,
@@ -98,13 +100,6 @@ def _merge_mismatches(blocks):
                 kept.sort()
                 del kept[MISMATCH_CAP:]
         del got_cols, expected_cols  # free the block before the next is built
-    return kept, total
-
-
-def _report(mode, circuit, inputs_checked, blocks, point_at, expected_and_count,
-            sample_count=None, seed=None) -> VerificationReport:
-    """Merge the blocks' mismatches, count ANDs and decide pass/fail in one place."""
-    kept, total = _merge_mismatches(blocks)
     mismatches = [Mismatch(point_at(t), out_idx, exp, got) for out_idx, t, exp, got in kept]
     observed = circuit.and_count()
     passed = total == 0 and (expected_and_count is None or observed == expected_and_count)
@@ -144,43 +139,33 @@ def _structured_columns(n: int, start: int, width: int) -> list[int]:
     return columns
 
 
-def _sample_blocks(n: int, count: int, seed: int):
-    """The seeded sample set: the random columns, and a generator of its
-    blocks as ``(first point, input columns, width)``.
-
-    Points 0..count-1 are seeded random bits, one block held whole; the
-    n + 2 structured points follow in blocks of STRUCTURED_BLOCK points,
-    each built in closed form when it is reached.
-    """
-    if count < 1:
-        raise ValueError("sample count must be at least 1")
-    rng = random.Random(seed)
-    columns = [rng.getrandbits(count) for _ in range(n)]
-
-    def blocks():
-        yield 0, columns, count
-        for start in range(0, n + 2, STRUCTURED_BLOCK):
-            width = min(STRUCTURED_BLOCK, n + 2 - start)
-            yield count + start, _structured_columns(n, start, width), width
-
-    return columns, blocks()
-
-
 def check_sampled(circuit: Circuit, count: int, seed: int,
                   expected_and_count: int | None = None) -> VerificationReport:
     """Seeded sampled equivalence check against the direct reference.
 
     Deterministic for a fixed seed (Mersenne Twister via random.Random).
-    Expected values are leave-one-out products of the raw input columns,
-    formed from running prefix/suffix bitwise ANDs, one block of points at
-    a time.
+    Points 0..count-1 are seeded random bits, one block held whole; the
+    n + 2 structured points follow in blocks of STRUCTURED_BLOCK points,
+    each built in closed form when it is reached. Expected values are
+    leave-one-out products of the raw input columns, formed from running
+    prefix/suffix bitwise ANDs, one block of points at a time.
     """
     n = circuit.arity
     if len(circuit.outputs) != n:
         raise ValueError(f"expected {n} outputs, circuit has {len(circuit.outputs)}")
-    columns, blocks = _sample_blocks(n, count, seed)
+    if count < 1:
+        raise ValueError("sample count must be at least 1")
+    rng = random.Random(seed)
+    columns = [rng.getrandbits(count) for _ in range(n)]
+
+    def blocks():  # (first point, input columns, width), built as they are reached
+        yield 0, columns, count
+        for start in range(0, n + 2, STRUCTURED_BLOCK):
+            width = min(STRUCTURED_BLOCK, n + 2 - start)
+            yield count + start, _structured_columns(n, start, width), width
+
     evaluated = ((first, circuit.output_columns(cols, width), leave_one_out_columns(cols, width))
-                 for first, cols, width in blocks)
+                 for first, cols, width in blocks())
 
     def point(t: int) -> str:
         if t < count:
@@ -203,17 +188,6 @@ def leave_one_out_columns(columns: list[int], width: int) -> list[int]:
         out[i] &= suffix
         suffix &= columns[i]
     return out
-
-
-def compare_circuits_sampled(a: Circuit, b: Circuit, count: int, seed: int) -> int:
-    """Number of differing (input, output) pairs between two circuits on the
-    seeded sample set; both must have the same arity and output count."""
-    if a.arity != b.arity or len(a.outputs) != len(b.outputs):
-        raise ValueError("circuits are not comparable")
-    _, blocks = _sample_blocks(a.arity, count, seed)
-    evaluated = ((first, a.output_columns(cols, width), b.output_columns(cols, width))
-                 for first, cols, width in blocks)
-    return _merge_mismatches(evaluated)[1]
 
 
 # -- symbolic property suite -------------------------------------------------

@@ -2,12 +2,16 @@
 
 Deliberately independent of the package internals: polynomials are lists of
 variable-index tuples, tables are plain lists, and every transform is the
-direct definition (subset sums, pairwise expansion), not the fast path.
+direct definition (subset sums, pairwise expansion), not the fast path. The
+one helper that builds a circuit, ``retap``, uses the public ``Circuit``
+constructor.
 """
 
 import json
 import random
 from itertools import product
+
+from xagsynth import Circuit
 
 
 def naive_monomial_value(indices, bits):
@@ -109,6 +113,13 @@ def naive_gf2_rank(rows):
     return rank
 
 
+def retap(circuit, k, gid):
+    """``circuit`` with output k re-tapped at gate ``gid``, sharing its gates."""
+    outputs = list(circuit.outputs)
+    outputs[k] = (outputs[k][0], gid)
+    return Circuit(circuit.arity, circuit.gates, tuple(outputs))
+
+
 def json_dumps_circuit(circuit, construction=None):
     """The JSON circuit document as ``json.dumps(doc, indent=2)`` writes it:
     the byte oracle for ``export_json``."""
@@ -194,6 +205,8 @@ def sampled_mismatches(circuit, count, seed, other=None):
             expected.append(col)
     found = []
     for out_idx, (g, e) in enumerate(zip(got, expected), start=1):
+        if g == e:  # no point of this output differs
+            continue
         for t in range(width):
             if (g >> t) & 1 != (e >> t) & 1:
                 found.append({"input": "".join(str((c >> t) & 1) for c in columns),

