@@ -4,8 +4,6 @@ pass/fail line printed per criterion. Run with ``pytest tests/test_acceptance.py
 
 import time
 
-import pytest
-
 from xagsynth import (
     BASELINE,
     OPTIMAL,
@@ -17,7 +15,6 @@ from xagsynth import (
     export_bristol,
     import_bristol,
     reference_anf,
-    reference_table_bits,
     sigma_anf,
     synthesize,
     synthesize_plan,

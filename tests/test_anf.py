@@ -182,9 +182,3 @@ class TestProperties:
         expected = naive_multiply(
             [m.vars for m in a.terms], [m.vars for m in b.terms])
         assert as_term_set(a * b) == expected
-
-    @given(anfs8)
-    @settings(max_examples=25, deadline=None)
-    def test_table_matches_naive_evaluation(self, a):
-        expected = naive_anf_table(8, [m.vars for m in a.terms])
-        assert Anf.from_truth_table(TruthTable(8, table_int(expected))) == a

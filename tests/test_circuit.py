@@ -240,6 +240,12 @@ class TestStructure:
         ((("INPUT",), ("NOT", 0)), "must be the inputs"),  # a non-input in the prefix
         ((("INPUT",), ("INPUT",), ("CONST1", 0)), "cannot follow"),  # not in the basis
         ((("INPUT",), ("INPUT",), ("CONST1",)), "cannot follow"),
+        # three-element gates that are not a two-operand AND or XOR over earlier gates
+        ((("INPUT",), ("INPUT",), ("NOT", 0, 1)), "operand count 2 for NOT"),
+        ((("INPUT",), ("INPUT",), ("AND", -1, 0)), "operand -1 not before gate"),
+        ((("INPUT",), ("INPUT",), ("XOR", 2, 0)), "operand 2 not before gate"),
+        ((("INPUT",), ("INPUT",), ("AND", 0, 2)), "operand 2 not before gate"),
+        ((("INPUT",), ("INPUT",), ("INPUT", 0, 1)), "cannot follow"),
     ])
     def test_validate_rejects_malformed_layout(self, gates, match):
         with pytest.raises(ValueError, match=match):

@@ -164,6 +164,25 @@ class TestBristolRoundTrip:
         assert c.gates == (("INPUT",), ("INPUT",), ("AND", 0, 1), ("XOR", 2, 1), ("AND", 3, 0))
         assert c.outputs == (("o1", 4),)
 
+    @pytest.mark.parametrize("which", ["synthesized", "hand-built"])
+    def test_whitespace_does_not_change_the_circuit(self, which):
+        if which == "synthesized":
+            c = synthesize(7)
+        else:  # a NOT, a constant 1 and a four-operand XOR
+            b = CircuitBuilder(3)
+            y = b.xor(b.and_(0, b.not_(1)), b.not_(b.xor(0, 0)), 2, 1)
+            c = b.finish([("y", y), ("x1", 0)])
+        doc = export_bristol(c)
+        # CRLF ends, tabs between tokens, padded lines, blank lines in the body
+        messy = []
+        for k, line in enumerate(doc.splitlines()):
+            line = "\t".join(line.split(" "))
+            messy.append(f" {line}\t " if k % 2 else line)
+            if k > 3 and k % 3 == 0:
+                messy += [" \t", ""]
+        canonical, again = import_bristol(doc), import_bristol("\r\n".join(messy) + "\r\n")
+        assert (again.gates, again.outputs) == (canonical.gates, canonical.outputs)
+
     def test_repeated_and_line_is_kept_and_counted(self):
         doc = "2 4\n1 2\n2 1 1\n\n2 1 0 1 2 AND\n2 1 0 1 3 AND\n"
         c = import_bristol(doc)
@@ -270,6 +289,48 @@ class TestBristolImportErrors:
     def test_non_canonical_integer(self, doc, message):
         with pytest.raises(BristolFormatError, match=re.escape(message)):
             import_bristol(doc)
+
+    # every message the importer writes, whole; _HEAD declares two inputs,
+    # one output and four wires, so its one gate line is line 5
+    _HEAD = "1 4\n1 2\n1 1\n\n"
+
+    @pytest.mark.parametrize("doc,message", [
+        ("1 2\n", "missing header lines"),
+        ("1 4 4\n1 2\n1 1\n\n2 1 0 1 3 AND\n", "line 1: header must be '<ngates> <nwires>'"),
+        ("x 4\n1 2\n1 1\n\n2 1 0 1 3 AND\n", "line 1: expected an integer, got 'x'"),
+        ("3 5\n1 2\n1 1\n\n", "header declares 3 gates, found 0"),
+        # the count is checked before any gate line is read
+        ("2 4\n1 2\n1 1\n\n2 1 0 9 3 AND\n", "header declares 2 gates, found 1"),
+        ("1 4\n2 2\n1 1\n\n2 1 0 1 3 AND\n", "line 2: bad input group declaration"),
+        ("1 4\n1 2\n2 1\n\n2 1 0 1 3 AND\n", "line 3: bad output group declaration"),
+        ("1 4\n1 0\n1 1\n\n2 1 0 1 3 AND\n", "circuit must declare at least one input wire"),
+        ("1 2000001\n1 2000000\n1 1\n\n2 1 0 1 2000000 AND\n",
+         "2000000 input wires declared, limit 1048576"),
+        ("1 4\n1 2\n1 0\n\n2 1 0 1 3 AND\n", "circuit must declare at least one output wire"),
+        ("1 2\n1 2\n1 1\n\n2 1 0 1 3 AND\n", "wire count smaller than declared inputs plus outputs"),
+        ("1 4\n1 2\n1 1\n\n2 1 0 +1 3 AND\n", "line 5: unexpected '+'; numbers are ASCII digits"),
+        (_HEAD + "2 1 AND\n", "line 5: truncated gate line"),
+        (_HEAD + "2 1 0 1 3 NAND\n", "line 5: unknown op 'NAND'"),
+        (_HEAD + "2 1 0 x 3 AND\n", "line 5: expected an integer, got 'x'"),
+        (_HEAD + "2 1 0 1 " + "9" * 5000 + " AND\n",
+         "line 5: expected an integer, got '99999999999999999999' (5000 characters)"),
+        (_HEAD + "1 1 0 3 AND\n", "line 5: AND must have 2 inputs, 1 output"),
+        (_HEAD + "2 1 0 1 3 INV\n", "line 5: INV must have 1 inputs, 1 output"),
+        (_HEAD + "2 1 0 1 2 3 AND\n", "line 5: expected 3 wires"),
+        (_HEAD + "2 1 9 0 3 XOR\n", "line 5: wire 9 used before definition"),
+        (_HEAD + "2 1 0 9 3 AND\n", "line 5: wire 9 used before definition"),
+        (_HEAD + "1 1 9 3 INV\n", "line 5: wire 9 used before definition"),
+        (_HEAD + "2 1 0 1 4 AND\n", "line 5: output wire 4 out of range"),
+        (_HEAD + "2 1 0 1 1 AND\n", "line 5: wire 1 defined twice"),
+        ("2 4\n1 2\n1 1\n\n2 1 0 1 3 XOR\n2 1 0 1 3 XOR\n", "line 6: wire 3 defined twice"),
+        # blank lines count toward line numbers but not toward gates
+        ("1 4\n\n1 2\n1 1\n\n\n \n2 1 0 9 3 AND\n", "line 8: wire 9 used before definition"),
+        ("1 5\n1 2\n1 1\n\n2 1 0 1 2 XOR\n", "output wire 4 is never driven"),
+    ])
+    def test_message_pinned(self, doc, message):
+        with pytest.raises(BristolFormatError) as info:
+            import_bristol(doc)
+        assert str(info.value) == message
 
 
 class TestBristolImportLimits:
