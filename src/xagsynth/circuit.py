@@ -120,6 +120,10 @@ class Circuit:
         if len(gates) < n or gates[:n].count((INPUT,)) != n:
             raise ValueError(f"gates 0..{n - 1} must be the inputs x1..x{n}")
         for gid, gate in enumerate(gates[n:], n):
+            if len(gate) == 3:  # AND or two-operand XOR over earlier gates: most gates
+                kind, a, b = gate
+                if (kind == AND or kind == XOR) and 0 <= a < gid and 0 <= b < gid:
+                    continue
             kind, ops = gate[0], gate[1:]
             counts = _OPERAND_COUNTS.get(kind)
             if counts is None:

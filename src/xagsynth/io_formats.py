@@ -49,11 +49,12 @@ def _to_string(write, circuit: Circuit, *args) -> str:
 
 
 def _write_joined(fh: TextIO, items: Iterable[str], sep: str, lead: str = "") -> bool:
-    """Write ``lead + sep.join(items)`` to ``fh``, _CHUNK items per write, or
+    """Write ``lead + sep.join(items)`` to ``fh`` in chunks of _CHUNK items, or
     nothing if there are no items; return whether anything was written."""
     it, wrote = iter(items), False
     for chunk in iter(lambda: list(islice(it, _CHUNK)), []):
-        fh.write((sep if wrote else lead) + sep.join(chunk))
+        fh.write(sep if wrote else lead)  # apart, so the joined chunk is not copied again
+        fh.write(sep.join(chunk))
         wrote = True
     return wrote
 
@@ -118,6 +119,7 @@ def _ints(tokens: list[str], line_no: int) -> list[int]:
 
 # Bristol op -> (gate kind, input wire count)
 _OPS = {"AND": (AND, 2), "XOR": (XOR, 2), "INV": (NOT, 1)}
+_TWO_OPERAND = {("2", "1", "AND"): AND, ("2", "1", "XOR"): XOR}  # keyed by #in, #out, op
 
 
 def import_bristol(text: str) -> Circuit:
@@ -127,18 +129,22 @@ def import_bristol(text: str) -> Circuit:
         bad = re.search(r"[^\x00-\x7f]|[-+_]", text)
         no = len((text[:bad.start()] + "x").splitlines())
         raise BristolFormatError(f"line {no}: unexpected {bad.group()!r}; numbers are ASCII digits")
-    nonempty = [(no, line) for no, line in enumerate(map(str.strip, text.splitlines()), 1) if line]
-    if len(nonempty) < 3:
+    lines = text.splitlines()
+    # (line number, line) of each non-blank line, numbered as they are read
+    nonempty = filter(itemgetter(1), enumerate(map(str.strip, lines), 1))
+    header = list(islice(nonempty, 3))
+    if len(header) < 3:
         raise BristolFormatError("missing header lines")
 
-    (no1, h1), (no2, h2), (no3, h3) = nonempty[:3]
+    (no1, h1), (no2, h2), (no3, h3) = header
     h1v = _ints(h1.split(), no1)
     if len(h1v) != 2:
         raise BristolFormatError(f"line {no1}: header must be '<ngates> <nwires>'")
     ngates, nwires = h1v
-    body = nonempty[3:]
-    if len(body) != ngates:
-        raise BristolFormatError(f"header declares {ngates} gates, found {len(body)}")
+    # the non-blank lines after the header, counted before any is parsed
+    nbody = len(lines) - lines.count("") - countOf(map(str.isspace, lines), True) - 3
+    if nbody != ngates:
+        raise BristolFormatError(f"header declares {ngates} gates, found {nbody}")
     h2v = _ints(h2.split(), no2)
     if not h2v or len(h2v) != h2v[0] + 1:
         raise BristolFormatError(f"line {no2}: bad input group declaration")
@@ -159,35 +165,44 @@ def import_bristol(text: str) -> Circuit:
     gates = [(INPUT,)] * n_inputs
     gate_of: dict[int, int] = {}  # non-input wire -> gate id; input wire w is gate w
 
-    for no, line in body:
+    for no, line in nonempty:
         tokens = line.split()
-        if len(tokens) < 4:
-            raise BristolFormatError(f"line {no}: truncated gate line")
-        op = tokens[-1]
-        if op not in _OPS:
-            raise BristolFormatError(f"line {no}: unknown op {op!r}")
-        kind, arity = _OPS[op]
-        try:
-            nin, nout, *in_wires, out_wire = map(int, tokens[:-1])
-        except ValueError:  # convert group by group, so the message names the bad one
-            nin, nout = _ints(tokens[:2], no)
-            in_wires = None
-        if nin != arity or nout != 1:
-            raise BristolFormatError(f"line {no}: {op} must have {arity} inputs, 1 output")
-        if in_wires is None:
-            _ints(tokens[2:-1], no)  # raises: a wire token is not an integer
-        if len(in_wires) != nin:
-            raise BristolFormatError(f"line {no}: expected {nin + 1} wires")
-        ops = [w if w < n_inputs else gate_of.get(w, -1) for w in in_wires]
-        if -1 in ops:
-            w = in_wires[ops.index(-1)]
-            raise BristolFormatError(f"line {no}: wire {w} used before definition")
+        try:  # "2 1 a b w AND|XOR" over defined wires: most lines
+            nin, nout, a, b, out_wire, op = tokens
+            kind = _TWO_OPERAND[nin, nout, op]
+            a, b, out_wire = int(a), int(b), int(out_wire)
+            gate = (kind, a if a < n_inputs else gate_of[a], b if b < n_inputs else gate_of[b])
+        except (ValueError, KeyError):
+            gate = None
+        if gate is None:  # any other line, or one with an error to name
+            if len(tokens) < 4:
+                raise BristolFormatError(f"line {no}: truncated gate line")
+            op = tokens[-1]
+            if op not in _OPS:
+                raise BristolFormatError(f"line {no}: unknown op {op!r}")
+            kind, arity = _OPS[op]
+            try:
+                nin, nout, *in_wires, out_wire = map(int, tokens[:-1])
+            except ValueError:  # convert group by group, so the message names the bad one
+                nin, nout = _ints(tokens[:2], no)
+                in_wires = None
+            if nin != arity or nout != 1:
+                raise BristolFormatError(f"line {no}: {op} must have {arity} inputs, 1 output")
+            if in_wires is None:
+                _ints(tokens[2:-1], no)  # raises: a wire token is not an integer
+            if len(in_wires) != nin:
+                raise BristolFormatError(f"line {no}: expected {nin + 1} wires")
+            ops = [w if w < n_inputs else gate_of.get(w, -1) for w in in_wires]
+            if -1 in ops:
+                w = in_wires[ops.index(-1)]
+                raise BristolFormatError(f"line {no}: wire {w} used before definition")
+            gate = (kind, *ops)
         if not 0 <= out_wire < nwires:
             raise BristolFormatError(f"line {no}: output wire {out_wire} out of range")
         if out_wire < n_inputs or out_wire in gate_of:
             raise BristolFormatError(f"line {no}: wire {out_wire} defined twice")
         gate_of[out_wire] = len(gates)
-        gates.append((kind, *ops))
+        gates.append(gate)
 
     outputs = []
     for k, w in enumerate(range(nwires - n_output_wires, nwires), start=1):
@@ -239,7 +254,10 @@ def write_json(circuit: Circuit, fh: TextIO, construction: str | None = None) ->
              f'  "and_count": {circuit.and_count()},\n  "gates": [')
     inputs = (f'    {{\n      "id": {gid},\n      "kind": "INPUT",\n      "var": {gid + 1}\n    }}'
               for gid in range(n))
+    # two-operand gates, most gates, format both operands in place
     others = (f'    {{\n      "id": {gid},\n      "kind": "{gate[0]}",\n      "operands": [\n'
+              f'        {gate[1]},\n        {gate[2]}\n      ]\n    }}' if len(gate) == 3 else
+              f'    {{\n      "id": {gid},\n      "kind": "{gate[0]}",\n      "operands": [\n'
               f'        {sep.join(map(str, gate[1:]))}\n      ]\n    }}'
               for gid, gate in islice(enumerate(gates), n, None))
     outputs = (f'    {{\n      "label": {json.dumps(label)},\n      "id": {gid}\n    }}'
