@@ -40,6 +40,61 @@ class TestMonomial:
             Anf(3, [Monomial.of(4)])
 
 
+class TestPinnedText:
+    # printed forms and messages as the Monomial-based ANF wrote them
+    def test_zero_and_constant_one(self):
+        assert str(Anf(3)) == "0"
+        assert str(Anf.monomial(3, [])) == "1"
+
+    def test_product_terms_sorted_by_mask(self):
+        product = Anf.linear(3, [1, 2]) * Anf.linear(3, [2, 3])
+        assert str(product) == "x2 + x1x2 + x1x3 + x2x3"
+        assert str(Anf.monomial(3, []) + product) == "1 + x2 + x1x2 + x1x3 + x2x3"
+
+    def test_variable_beyond_arity_message(self):
+        with pytest.raises(ValueError) as exc:
+            Anf.monomial(3, [3, 1, 4])
+        assert str(exc.value) == "monomial x1x3x4 uses variables beyond arity 3"
+        with pytest.raises(ValueError) as exc:
+            Anf.linear(2, [1, 3])
+        assert str(exc.value) == "monomial x3 uses variables beyond arity 2"
+
+    def test_equal_anfs_hash_equal_and_collapse_in_a_set(self):
+        built = [
+            Anf.linear(3, [1, 2]) + Anf.linear(3, [2, 3]),
+            Anf.linear(3, [3, 1]),
+            Anf.from_truth_table(TruthTable(3, table_int(naive_table(3, lambda b: b[0] ^ b[2])))),
+            Anf.monomial(3, [1]) + Anf.monomial(3, [3]),
+        ]
+        assert all(a == built[0] for a in built)
+        assert len({hash(a) for a in built}) == 1
+        assert len(set(built)) == 1
+        assert len({Anf(3), Anf(4), Anf.monomial(3, []), *built}) == 4
+        assert Anf(3) != Anf(4) and Anf.monomial(3, [1]) != Anf.monomial(3, [2])
+
+    @pytest.mark.parametrize("arity, bits, message", [
+        (25, 0, "arity must be in 0..24"),
+        (-1, 0, "arity must be in 0..24"),
+        (3, -1, "table has bits beyond 2^arity entries"),
+        (3, 1 << 8, "table has bits beyond 2^arity entries"),
+        (0, 1 << 1, "table has bits beyond 2^arity entries"),
+        (5, 1 << 32, "table has bits beyond 2^arity entries"),
+    ])
+    def test_truth_table_messages(self, arity, bits, message):
+        with pytest.raises(ValueError) as exc:
+            TruthTable(arity, bits)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("arity", [0, 1, 3, 5])
+    def test_truth_table_widest_bits_accepted(self, arity):
+        assert TruthTable(arity, (1 << (1 << arity)) - 1).bits.bit_length() == 1 << arity
+
+    def test_truth_table_equality_and_hash(self):
+        assert TruthTable(3, 5) == TruthTable(3, 5)
+        assert hash(TruthTable(3, 5)) == hash(TruthTable(3, 5))
+        assert TruthTable(3, 5) != TruthTable(4, 5) and TruthTable(3, 5) != TruthTable(3, 6)
+
+
 class TestAdd:
     def test_self_cancellation(self):
         a = anf_of(3, (1, 2))

@@ -131,6 +131,18 @@ class TestExhaustive:
         assert _report_sha256(check_exhaustive(c)) == \
             "06c2f7e1ecbee1475fe5df25e73df92b26ddf7a04c174588aa3233392862b4b6"
 
+    def test_failing_report_key_order(self):
+        c = retap(synthesize(4, OPTIMAL), 0, 0)
+        d = check_exhaustive(c, expected_and_count=5).to_dict()
+        assert list(d) == ["mode", "arity", "inputs_checked", "outputs_checked",
+                           "mismatch_count", "mismatches", "and_count_observed",
+                           "and_count_expected", "sample_count", "seed", "passed"]
+        assert d["mismatches"][0] == {"input": "1000", "output_index": 1,
+                                      "expected": 0, "got": 1}
+        assert all(list(m) == ["input", "output_index", "expected", "got"]
+                   for m in d["mismatches"])
+        assert (d["sample_count"], d["seed"], d["passed"]) == (None, None, False)
+
     def test_report_round_trips_to_dict(self):
         d = check_exhaustive(synthesize(4, OPTIMAL), expected_and_count=5).to_dict()
         assert d["passed"] is True and d["mode"] == "exhaustive"
