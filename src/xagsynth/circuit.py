@@ -16,12 +16,9 @@ are wires 0..n-1. Every later gate has kind AND, XOR or NOT.
 on it: evaluation and export seed the first n gates from the inputs, and a
 walk along edges reads ``gate[1:]`` as operands without asking for the kind.
 
-The builder is append-only: it starts with the n inputs, every later call
-adds exactly one gate and returns its id, and nothing is shared behind the
-caller's back. A construction that wants a node reused keeps its id and
-passes it again. The builder performs no algebraic rewriting either: what
-you build is what you get, and correctness is checked by the independent
-oracles in :mod:`xagsynth.verify`.
+The builder shares nothing behind the caller's back and performs no
+algebraic rewriting: what you build is what you get, and correctness is
+checked by the independent oracles in :mod:`xagsynth.verify`.
 
 Evaluation is bit-parallel: every wire is a wide Python int holding one bit
 per evaluation point, so a full 2^n-point truth table costs one pass over the
@@ -43,10 +40,6 @@ AND = "AND"
 XOR = "XOR"
 NOT = "NOT"
 
-# Gates are plain tuples (kind, *operand ids): gates 0..arity-1 are (INPUT,),
-# then come gates of the basis: (AND, a, b), (XOR, op1, op2, ...) and (NOT, a).
-Gate = tuple
-
 # Operand counts allowed for each kind that may follow the inputs.
 _OPERAND_COUNTS = {AND: range(2, 3), XOR: range(2, sys.maxsize), NOT: range(1, 2)}
 
@@ -56,14 +49,15 @@ class CircuitBuilder:
 
     A new builder holds the inputs: x_v is gate v - 1. Each of
     :meth:`and_`, :meth:`xor` and :meth:`not_` appends one gate and returns
-    its id, the next dense id.
+    its id, the next dense id; a construction that wants a node reused
+    keeps its id and passes it again.
     """
 
     def __init__(self, arity: int):
         if arity < 1:
             raise ValueError("arity must be at least 1")
         self.arity = arity
-        self._gates: list[Gate] = [(INPUT,)] * arity
+        self._gates: list[tuple] = [(INPUT,)] * arity
         self.and_gates_created = 0
 
     def _check_operand(self, gid: int) -> None:
@@ -107,7 +101,7 @@ class Circuit:
 
     __slots__ = ("arity", "gates", "outputs", "_walk", "_last")
 
-    def __init__(self, arity: int, gates: tuple[Gate, ...], outputs: tuple[tuple[str, int], ...]):
+    def __init__(self, arity: int, gates: tuple[tuple, ...], outputs: tuple[tuple[str, int], ...]):
         self.arity = arity
         self.gates = gates
         self.outputs = outputs

@@ -214,9 +214,6 @@ def import_bristol(text: str) -> Circuit:
     return circuit
 
 
-_DOT_LABEL = {AND: "AND", XOR: "XOR", NOT: "NOT"}
-
-
 def write_dot(circuit: Circuit, fh: TextIO) -> None:
     """Graphviz digraph; node order and edges follow gate ids, so two exports
     of the same circuit are byte-identical."""
@@ -228,7 +225,7 @@ def write_dot(circuit: Circuit, fh: TextIO) -> None:
     def nodes() -> Iterator[str]:
         for gid, gate in enumerate(circuit.gates):
             kind = gate[0]
-            label = f"x{gid + 1}" if kind == INPUT else _DOT_LABEL[kind]
+            label = f"x{gid + 1}" if kind == INPUT else kind  # AND, XOR or NOT
             if gid in labels_by_gid:
                 label += " (" + ", ".join(labels_by_gid[gid]) + ")"
             shape = " shape=box" if kind == INPUT else ""

@@ -25,8 +25,6 @@ are free for the AND count, but sharing keeps the circuit O(n) nodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .anf import Anf
 from .circuit import Circuit, CircuitBuilder
 
@@ -34,16 +32,19 @@ OPTIMAL = "optimal"
 BASELINE = "baseline"
 
 
-@dataclass
 class SynthesisPlan:
     """A synthesized circuit plus its labeled intermediate nodes."""
 
-    n: int
-    construction: str
-    circuit: Circuit
-    sigma: int | None  # the sigma_n gate id; None for the baseline
-    stage2_nodes: list[int]  # the n-1 stage-2 gate ids, in label order
-    stage_and_counts: tuple[int, int, int]
+    __slots__ = ("n", "construction", "circuit", "sigma", "stage2_nodes", "stage_and_counts")
+
+    def __init__(self, n: int, construction: str, circuit: Circuit, sigma: int | None,
+                 stage2_nodes: list[int], stage_and_counts: tuple[int, int, int]):
+        self.n = n
+        self.construction = construction
+        self.circuit = circuit
+        self.sigma = sigma  # the sigma_n gate id; None for the baseline
+        self.stage2_nodes = stage2_nodes  # the n-1 stage-2 gate ids, in label order
+        self.stage_and_counts = stage_and_counts
 
 
 def _build_optimal(builder: CircuitBuilder, n: int):

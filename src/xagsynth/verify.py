@@ -11,9 +11,8 @@ almost surely all-zero outputs at large arity.
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass
 
-from .anf import MAX_DENSE_ARITY, Anf, Monomial
+from .anf import MAX_DENSE_ARITY, Anf
 from .bitops import full_mask, iter_one_bits
 from .circuit import Circuit
 from .synth import synthesize_plan
@@ -29,13 +28,13 @@ def reference_anf(n: int, i: int) -> Anf:
     """ANF of output i: the single degree-(n-1) monomial missing x_i."""
     if not 1 <= i <= n:
         raise ValueError(f"output index {i} out of range 1..{n}")
-    return Anf(n, [Monomial(full_mask(n) ^ (1 << (i - 1)))])
+    return Anf(n, [full_mask(n) ^ (1 << (i - 1))])
 
 
 def sigma_anf(n: int) -> Anf:
     """ANF of sigma_n: all n monomials of degree n-1."""
     full = full_mask(n)
-    return Anf(n, [Monomial(full ^ (1 << k)) for k in range(n)])
+    return Anf(n, [full ^ (1 << k) for k in range(n)])
 
 
 def reference_table_bits(n: int, i: int) -> int:
@@ -48,32 +47,48 @@ def reference_table_bits(n: int, i: int) -> int:
     return (1 << full_point) | (1 << (full_point ^ (1 << (i - 1))))
 
 
-@dataclass
 class Mismatch:
-    input: str  # the point's bits, x_1 first
-    output_index: int  # 1-based
-    expected: int
-    got: int
+    """One (point, output) pair on which the circuit and reference differ."""
+
+    __slots__ = ("input", "output_index", "expected", "got")
+
+    def __init__(self, input: str, output_index: int, expected: int, got: int):
+        self.input = input  # the point's bits, x_1 first
+        self.output_index = output_index  # 1-based
+        self.expected = expected
+        self.got = got
 
 
-@dataclass
 class VerificationReport:
-    """A check's outcome; the fields are in the JSON report's key order."""
+    """A check's outcome; the slots are in the JSON report's key order."""
 
-    mode: str
-    arity: int
-    inputs_checked: int
-    outputs_checked: int
-    mismatch_count: int  # total, may exceed len(mismatches) due to the cap
-    mismatches: list[Mismatch]
-    and_count_observed: int
-    and_count_expected: int | None
-    sample_count: int | None
-    seed: int | None
-    passed: bool
+    __slots__ = ("mode", "arity", "inputs_checked", "outputs_checked", "mismatch_count",
+                 "mismatches", "and_count_observed", "and_count_expected", "sample_count",
+                 "seed", "passed")
+
+    def __init__(self, mode: str, arity: int, inputs_checked: int, outputs_checked: int,
+                 mismatch_count: int, mismatches: list[Mismatch], and_count_observed: int,
+                 and_count_expected: int | None, sample_count: int | None, seed: int | None,
+                 passed: bool):
+        self.mode = mode
+        self.arity = arity
+        self.inputs_checked = inputs_checked
+        self.outputs_checked = outputs_checked
+        self.mismatch_count = mismatch_count  # total, may exceed len(mismatches) due to the cap
+        self.mismatches = mismatches
+        self.and_count_observed = and_count_observed
+        self.and_count_expected = and_count_expected
+        self.sample_count = sample_count
+        self.seed = seed
+        self.passed = passed
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The JSON report: one key per slot, each mismatch a dict keyed
+        ``input``, ``output_index``, ``expected``, ``got``."""
+        d = {name: getattr(self, name) for name in self.__slots__}
+        d["mismatches"] = [{name: getattr(m, name) for name in Mismatch.__slots__}
+                           for m in self.mismatches]
+        return d
 
 
 def _report(mode, circuit, inputs_checked, blocks, point_at, expected_and_count,
@@ -117,12 +132,8 @@ def check_exhaustive(circuit: Circuit, expected_and_count: int | None = None) ->
         raise ValueError(f"expected {n} outputs, circuit has {len(circuit.outputs)}")
     got = [t.bits for t in circuit.eval_all()]
     expected = [reference_table_bits(n, i) for i in range(1, n + 1)]
-
-    def point(x: int) -> str:
-        return format(x, f"0{n}b")[::-1]
-
-    return _report(EXHAUSTIVE, circuit, 1 << n, [(0, got, expected)], point,
-                   expected_and_count)
+    return _report(EXHAUSTIVE, circuit, 1 << n, [(0, got, expected)],
+                   lambda x: format(x, f"0{n}b")[::-1], expected_and_count)
 
 
 def _structured_columns(n: int, start: int, width: int) -> list[int]:
@@ -145,10 +156,12 @@ def check_sampled(circuit: Circuit, count: int, seed: int,
 
     Deterministic for a fixed seed (Mersenne Twister via random.Random).
     Points 0..count-1 are seeded random bits, one block held whole; the
-    n + 2 structured points follow in blocks of STRUCTURED_BLOCK points,
-    each built in closed form when it is reached. Expected values are
-    leave-one-out products of the raw input columns, formed from running
-    prefix/suffix bitwise ANDs, one block of points at a time.
+    n + 2 structured points follow in blocks of STRUCTURED_BLOCK
+    single-zero points, each built in closed form when it is reached. The
+    all-zeros and all-ones points add no distinct column, so they ride in
+    the first block: ceil(n / STRUCTURED_BLOCK) structured blocks in all.
+    Expected values are leave-one-out products of the raw input columns,
+    formed from running prefix/suffix bitwise ANDs, one block at a time.
     """
     n = circuit.arity
     if len(circuit.outputs) != n:
@@ -160,9 +173,9 @@ def check_sampled(circuit: Circuit, count: int, seed: int,
 
     def blocks():  # (first point, input columns, width), built as they are reached
         yield 0, columns, count
-        for start in range(0, n + 2, STRUCTURED_BLOCK):
-            width = min(STRUCTURED_BLOCK, n + 2 - start)
-            yield count + start, _structured_columns(n, start, width), width
+        starts = [0, *range(2 + STRUCTURED_BLOCK, n + 2, STRUCTURED_BLOCK)]
+        for start, stop in zip(starts, starts[1:] + [n + 2]):
+            yield count + start, _structured_columns(n, start, stop - start), stop - start
 
     evaluated = ((first, circuit.output_columns(cols, width), leave_one_out_columns(cols, width))
                  for first, cols, width in blocks())
@@ -192,12 +205,16 @@ def leave_one_out_columns(columns: list[int], width: int) -> list[int]:
 
 # -- symbolic property suite -------------------------------------------------
 
-@dataclass
 class LemmaCheck:
-    name: str
-    n: int
-    passed: bool
-    detail: str = ""
+    """One named property of the construction at arity n."""
+
+    __slots__ = ("name", "n", "passed", "detail")
+
+    def __init__(self, name: str, n: int, passed: bool, detail: str = ""):
+        self.name = name
+        self.n = n
+        self.passed = passed
+        self.detail = detail
 
 
 def _gf2_rank(rows: list[int]) -> int:
@@ -274,20 +291,11 @@ def check_lemma_suite(n_max: int) -> list[LemmaCheck]:
         add(LemmaCheck("output-extraction", n, ok))
 
         # the n intermediates are linearly independent in the basis of the n
-        # degree-(n-1) monomials, so XOR subsets reach every output
-        rows = []
-        independent = True
-        for a in intermediates:
-            row = 0
-            for m in a.terms:
-                missing = full_mask(n) ^ m.mask
-                if m.degree != n - 1 or missing.bit_count() != 1:
-                    independent = False
-                    break
-                row |= missing
-            rows.append(row)
-        rank = _gf2_rank(rows)
-        independent = independent and rank == n
-        add(LemmaCheck("linear-independence", n, independent, f"rank={rank}"))
+        # degree-(n-1) monomials, so XOR subsets reach every output; such a
+        # monomial misses one variable, and a row is the set of missing ones
+        missing = [[full_mask(n) ^ m for m in a.terms] for a in intermediates]
+        in_basis = all(v.bit_count() == 1 for row in missing for v in row)
+        rank = _gf2_rank([sum(row) for row in missing])
+        add(LemmaCheck("linear-independence", n, in_basis and rank == n, f"rank={rank}"))
 
     return checks

@@ -19,6 +19,16 @@ def naive_monomial_value(indices, bits):
     return int(all(bits[i - 1] for i in indices))
 
 
+def mono(*indices):
+    """A monomial as an int mask: bit i - 1 is set for each 1-based index i."""
+    return sum(1 << (i - 1) for i in set(indices))
+
+
+def vars_of(mask):
+    """The 1-based variable indices of a monomial mask, in ascending order."""
+    return tuple(j + 1 for j in range(mask.bit_length()) if (mask >> j) & 1)
+
+
 def naive_anf_value(terms, bits):
     """XOR of monomials at one assignment; ``terms`` is a list of index tuples."""
     v = 0

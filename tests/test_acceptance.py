@@ -97,8 +97,8 @@ def test_criterion_06_linear_independence():
         for table in taps.eval_all():
             row = 0
             for m in Anf.from_truth_table(table).terms:
-                missing = full_mask(n) ^ m.mask
-                ok = ok and m.degree == n - 1 and missing.bit_count() == 1
+                missing = full_mask(n) ^ m
+                ok = ok and m.bit_count() == n - 1 and missing.bit_count() == 1
                 row |= missing
             rows.append(row)
         ok = ok and len(rows) == n and naive_gf2_rank(rows) == n

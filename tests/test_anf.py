@@ -2,42 +2,50 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xagsynth import Anf, Monomial, TruthTable
+from xagsynth import Anf, TruthTable
 
 from oracles import (
     naive_anf_table,
     naive_anf_terms,
     naive_multiply,
     naive_table,
+    mono,
     table_int,
+    vars_of,
 )
 
 
 def anf_of(n, *term_tuples):
-    return Anf(n, [Monomial.of(*t) for t in term_tuples])
+    return Anf(n, [mono(*t) for t in term_tuples])
 
 
 def as_term_set(a):
-    return {frozenset(m.vars) for m in a.terms}
+    return {frozenset(vars_of(m)) for m in a.terms}
 
 
 class TestMonomial:
+    # a monomial is an int mask: bit k set means x_{k+1} is a factor
     def test_canonical_equality(self):
-        assert Monomial.of(1, 2) == Monomial.of(2, 1)
-        assert Monomial.of(1, 2) != Monomial.of(1, 3)
+        assert mono(1, 2) == mono(2, 1) == 0b11
+        assert mono(1, 2) != mono(1, 3)
+        assert Anf.monomial(3, [3, 1]).terms == {0b101}
 
     def test_constant_one_is_empty_set(self):
-        assert Monomial().degree == 0
-        assert str(Monomial()) == "1"
+        assert mono() == 0 and vars_of(0) == ()
+        assert Anf.monomial(3, []).terms == {0}
+        assert Anf.monomial(3, []).degree() == 0
 
     def test_vars_are_one_based(self):
-        assert Monomial.of(3, 1).vars == (1, 3)
-        with pytest.raises(ValueError):
-            Monomial.of(0)
+        assert vars_of(mono(3, 1)) == (1, 3)
+        assert Anf.linear(4, [4, 2]).terms == {0b10, 0b1000}
+        with pytest.raises(ValueError, match="variable index 0 must be >= 1"):
+            Anf.monomial(3, [0])
 
     def test_arity_enforced_by_anf(self):
         with pytest.raises(ValueError):
-            Anf(3, [Monomial.of(4)])
+            Anf(3, [mono(4)])
+        with pytest.raises(ValueError, match="monomial mask must be non-negative"):
+            Anf(3, [-1])
 
 
 class TestPinnedText:
@@ -166,7 +174,7 @@ class TestTruthTableConversion:
         assert Anf.from_truth_table(TruthTable(3, 0)) == Anf(3)
 
     def test_constant_one(self):
-        assert Anf.from_truth_table(TruthTable(2, table_int([1, 1, 1, 1]))) == Anf(2, [Monomial()])
+        assert Anf.from_truth_table(TruthTable(2, table_int([1, 1, 1, 1]))) == Anf(2, [mono()])
 
     def test_majority_table(self):
         t = naive_table(3, lambda bits: int(sum(bits) >= 2))
@@ -191,7 +199,7 @@ class TestTruthTableConversion:
             TruthTable(25, 0)
 
 
-monomials = st.integers(min_value=0, max_value=255).map(Monomial)
+monomials = st.integers(min_value=0, max_value=255)
 anfs8 = st.frozensets(monomials, max_size=12).map(lambda ts: Anf(8, ts))
 
 
@@ -206,14 +214,14 @@ class TestProperties:
     def test_round_trip(self, arity, data):
         masks = data.draw(st.frozensets(
             st.integers(min_value=0, max_value=(1 << arity) - 1), max_size=16))
-        a = Anf(arity, (Monomial(m) for m in masks))
-        table = naive_anf_table(arity, [m.vars for m in a.terms])
+        a = Anf(arity, masks)
+        table = naive_anf_table(arity, [vars_of(m) for m in a.terms])
         assert Anf.from_truth_table(TruthTable(arity, table_int(table))) == a
 
     @given(anfs8, anfs8, anfs8)
     @settings(max_examples=40, deadline=None)
     def test_ring_laws(self, a, b, c):
-        zero, one = Anf(8), Anf(8, [Monomial()])
+        zero, one = Anf(8), Anf(8, [mono()])
         assert (a + b) + c == a + (b + c)
         assert a + b == b + a
         assert a + zero == a
@@ -235,5 +243,5 @@ class TestProperties:
     def test_multiply_matches_naive(self, a):
         b = anf_of(8, (1, 2), (3,), (5, 6, 7))
         expected = naive_multiply(
-            [m.vars for m in a.terms], [m.vars for m in b.terms])
+            [vars_of(m) for m in a.terms], [vars_of(m) for m in b.terms])
         assert as_term_set(a * b) == expected

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xagsynth import AND, NOT, XOR, Anf, Circuit, CircuitBuilder, Monomial, export_bristol
+from xagsynth import AND, NOT, XOR, Anf, Circuit, CircuitBuilder, export_bristol
 
-from oracles import all_inputs, naive_eval, naive_reachable, retap, table_int
+from oracles import all_inputs, mono, naive_eval, naive_reachable, retap, table_int
 
 
 def sigma3_builder():
@@ -89,7 +89,7 @@ class TestEval:
     def test_sigma3_table_matches_anf(self):
         b, s = sigma3_builder()
         c = b.finish([("s", s)])
-        expected = Anf(3, [Monomial.of(1, 2), Monomial.of(2, 3), Monomial.of(1, 3)])
+        expected = Anf(3, [mono(1, 2), mono(2, 3), mono(1, 3)])
         assert Anf.from_truth_table(c.eval_all()[0]) == expected
 
     def test_eval_all_arity_cap(self):

@@ -249,6 +249,17 @@ def test_benchmark_tracer_finds_the_names_it_wraps():
     assert set(json.loads(out)) <= {"io_formats.export_bristol"}
 
 
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # each costs every CLI run start-up time; a fact, not a timing, so it
+    # cannot flake on a slow host
+    src = os.path.dirname(os.path.dirname(xagsynth.__file__))
+    code = ("import sys, xagsynth.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB")
 class TestStreamingMemory:
     # the artifact streams into the file, so writing it costs a bounded

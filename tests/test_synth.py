@@ -8,7 +8,6 @@ from xagsynth import (
     OPTIMAL,
     Anf,
     Circuit,
-    Monomial,
     degree_lower_bound,
     reference_anf,
     sigma_anf,
@@ -16,7 +15,7 @@ from xagsynth import (
     synthesize_plan,
 )
 
-from oracles import all_inputs, leave_one_out_reference, naive_anf_terms
+from oracles import all_inputs, leave_one_out_reference, mono, naive_anf_terms, vars_of
 
 
 def anf_of_node(plan, gid):
@@ -31,7 +30,7 @@ class TestSigma:
     ])
     def test_small_anf(self, n, terms):
         plan = synthesize_plan(n)
-        assert anf_of_node(plan, plan.sigma) == Anf(n, [Monomial.of(*t) for t in terms])
+        assert anf_of_node(plan, plan.sigma) == Anf(n, [mono(*t) for t in terms])
         assert plan.stage_and_counts[0] == n - 2
 
     def test_n5_is_all_degree4_monomials(self):
@@ -50,7 +49,7 @@ class TestSigma:
             for i in range(1, n + 1):
                 v ^= leave_one_out_reference(n, bits, i)
             table.append(v)
-        assert {frozenset(m.vars) for m in got.terms} == naive_anf_terms(n, table)
+        assert {frozenset(vars_of(m)) for m in got.terms} == naive_anf_terms(n, table)
         assert plan.stage_and_counts[0] == n - 2
 
     def test_even_case_exposes_previous(self):
@@ -64,16 +63,16 @@ class TestSigma:
 class TestStage2:
     def test_n3_pair_products(self):
         plan = synthesize_plan(3)
-        assert anf_of_node(plan, plan.stage2_nodes[0]) == Anf(3, [Monomial.of(2, 3), Monomial.of(1, 3)])
-        assert anf_of_node(plan, plan.stage2_nodes[1]) == Anf(3, [Monomial.of(1, 3), Monomial.of(1, 2)])
+        assert anf_of_node(plan, plan.stage2_nodes[0]) == Anf(3, [mono(2, 3), mono(1, 3)])
+        assert anf_of_node(plan, plan.stage2_nodes[1]) == Anf(3, [mono(1, 3), mono(1, 2)])
 
     def test_n4_direct_last_output(self):
         plan = synthesize_plan(4)
-        assert anf_of_node(plan, plan.stage2_nodes[-1]) == Anf(4, [Monomial.of(1, 2, 3)])
+        assert anf_of_node(plan, plan.stage2_nodes[-1]) == Anf(4, [mono(1, 2, 3)])
 
     def test_n5_middle_pair(self):
         plan = synthesize_plan(5)
-        expected = Anf(5, [Monomial.of(1, 2, 4, 5), Monomial.of(1, 2, 3, 5)])
+        expected = Anf(5, [mono(1, 2, 4, 5), mono(1, 2, 3, 5)])
         assert anf_of_node(plan, plan.stage2_nodes[2]) == expected
 
     @pytest.mark.parametrize("n", range(3, 11))
@@ -86,15 +85,15 @@ class TestStage2:
 class TestStage3:
     def test_n3_first_output(self):
         plan = synthesize_plan(3)
-        assert anf_of_node(plan, plan.circuit.outputs[0][1]) == Anf(3, [Monomial.of(2, 3)])
+        assert anf_of_node(plan, plan.circuit.outputs[0][1]) == Anf(3, [mono(2, 3)])
 
     def test_n3_chain_step(self):
         plan = synthesize_plan(3)
-        assert anf_of_node(plan, plan.circuit.outputs[1][1]) == Anf(3, [Monomial.of(1, 3)])
+        assert anf_of_node(plan, plan.circuit.outputs[1][1]) == Anf(3, [mono(1, 3)])
 
     def test_n4_first_output(self):
         plan = synthesize_plan(4)
-        assert anf_of_node(plan, plan.circuit.outputs[0][1]) == Anf(4, [Monomial.of(2, 3, 4)])
+        assert anf_of_node(plan, plan.circuit.outputs[0][1]) == Anf(4, [mono(2, 3, 4)])
 
     @pytest.mark.parametrize("n", range(3, 11))
     def test_adds_zero_ands_and_single_monomials(self, n):
@@ -120,9 +119,9 @@ class TestSynthesize:
         c = synthesize(3, OPTIMAL)
         assert c.and_count() == 3
         tables = c.eval_all()
-        assert Anf.from_truth_table(tables[0]) == Anf(3, [Monomial.of(2, 3)])
-        assert Anf.from_truth_table(tables[1]) == Anf(3, [Monomial.of(1, 3)])
-        assert Anf.from_truth_table(tables[2]) == Anf(3, [Monomial.of(1, 2)])
+        assert Anf.from_truth_table(tables[0]) == Anf(3, [mono(2, 3)])
+        assert Anf.from_truth_table(tables[1]) == Anf(3, [mono(1, 3)])
+        assert Anf.from_truth_table(tables[2]) == Anf(3, [mono(1, 2)])
 
     def test_output_labels_in_index_order(self):
         c = synthesize(6)

@@ -27,6 +27,7 @@ from oracles import (
     retap,
     sampled_mismatches,
     table_int,
+    vars_of,
 )
 
 
@@ -78,7 +79,7 @@ class TestReference:
         for i in range(1, n + 1):
             anf = reference_anf(n, i)
             bits = reference_table_bits(n, i)
-            assert bits == table_int(naive_anf_table(n, [m.vars for m in anf.terms]))
+            assert bits == table_int(naive_anf_table(n, [vars_of(m) for m in anf.terms]))
             assert Anf.from_truth_table(TruthTable(n, bits)) == anf
 
 
@@ -235,6 +236,21 @@ class TestSampledBlocks:
             r = check_sampled(rotated, count, 1)
             assert r.mismatch_count > MISMATCH_CAP
             assert len({m.output_index for m in r.mismatches}) >= MISMATCH_CAP // 2
+
+
+    def test_one_pass_per_block_of_single_zero_points(self, monkeypatch):
+        # all-zeros and all-ones add no distinct column, so they ride in the
+        # first structured block: n = 8 in blocks of 4 is 2 structured passes
+        # after the random block, not 3
+        monkeypatch.setattr(xagsynth.verify, "STRUCTURED_BLOCK", 4)
+        calls = []
+        output_columns = Circuit.output_columns
+        monkeypatch.setattr(Circuit, "output_columns",
+                            lambda self, cols, width: calls.append(width)
+                            or output_columns(self, cols, width))
+        r = check_sampled(synthesize(8), 5, seed=3)
+        assert r.passed and r.inputs_checked == 5 + 8 + 2
+        assert calls == [5, 6, 4]
 
 
 class TestLemmaSuite:
