@@ -28,9 +28,9 @@ gate list.
 from __future__ import annotations
 
 import sys
-from itertools import compress
+from itertools import compress, count, islice
 from operator import countOf, itemgetter
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .anf import MAX_DENSE_ARITY, TruthTable
 from .bitops import full_mask, variable_column
@@ -106,7 +106,7 @@ class Circuit:
         self.gates = gates
         self.outputs = outputs
         self._walk: tuple[bytearray, int] | None = None  # filled by _structure()
-        self._last: list[int] | None = None  # filled by _last_uses(), on first evaluation
+        self._last: tuple[bytearray, dict] | None = None  # filled by _drop_plan()
 
     def validate(self) -> None:
         """Check structural invariants; used on import and in tests."""
@@ -160,70 +160,77 @@ class Circuit:
 
     # -- evaluation --------------------------------------------------------
 
-    def _last_uses(self) -> list[int]:
-        """Per gate, the id of the last gate that reads it, built on first
-        evaluation and cached.
-
-        An unread gate maps to its own id; an output maps to ``len(gates)``,
-        past every gate, so its column is never dropped.
-        """
+    def _drop_plan(self) -> tuple[bytearray, dict[int, list[int]]]:
+        """Per non-input gate a flag byte, built on first evaluation and cached:
+        after the gate, 1 drops its first operand's column, 2 its second's, and
+        4 keeps its own. A wider XOR lists the operands it drops in the dict.
+        Walking backward, the first reader met is the last; outputs start out
+        read, so an output's column is never dropped."""
         if self._last is None:
             n, gates = self.arity, self.gates
-            last = list(range(len(gates)))
-            for gid, gate in enumerate(gates[n:], n):
-                if len(gate) == 3:  # AND or two-operand XOR: most gates
-                    last[gate[1]] = last[gate[2]] = gid
-                else:
-                    for o in gate[1:]:
-                        last[o] = gid
+            read = bytearray(len(gates))
             for _, gid in self.outputs:
-                last[gid] = len(gates)
-            self._last = last
+                read[gid] = 1
+            flags = bytearray(len(gates) - n)
+            wide = {}
+            for gid, gate in zip(range(len(gates) - 1, n - 1, -1), reversed(gates)):
+                f = read[gid] << 2  # read holds 0 or 1
+                if len(gate) <= 3:  # AND, NOT or two-operand XOR: most gates
+                    if not read[gate[1]]:
+                        f |= 1
+                        read[gate[1]] = 1
+                    if len(gate) == 3 and not read[gate[2]]:
+                        f |= 2
+                        read[gate[2]] = 1
+                else:  # a repeated operand is listed, and dropped, twice
+                    wide[gid] = drops = [o for o in gate[1:] if not read[o]]
+                    for o in drops:
+                        read[o] = 1
+                flags[gid - n] = f
+            self._last = (flags, wide)
         return self._last
 
-    def output_columns(self, input_columns: Sequence[int], width: int) -> list[int]:
+    def output_columns(self, input_columns: Iterable[int], width: int) -> list[int]:
         """Forward pass over bit columns of the given width.
 
-        ``input_columns[v - 1]`` is the column of x_v; bit t of each output
-        column is that output's value at evaluation point t. A gate's column
-        is dropped after its last reader, so only the live set is held at
-        once.
+        ``input_columns`` yields the column of x_1 first; bit t of each
+        output column is that output's value at evaluation point t. The pass
+        copies the columns into its own list and drops every column, an
+        input's included, after its last reader, so only the live set is
+        held at once: a caller that keeps no other reference to an input
+        column lets it go early.
         """
         n, gates = self.arity, self.gates
-        if len(input_columns) != n:
-            raise ValueError(f"expected {n} input columns, got {len(input_columns)}")
+        cols: list[int | None] = list(input_columns)
+        if len(cols) != n:
+            raise ValueError(f"expected {n} input columns, got {len(cols)}")
         ones = full_mask(width)
-        last = self._last_uses()
-        cols: list[int | None] = [input_columns[v] for v in range(n)] + [None] * (len(gates) - n)
-        for gid, gate in enumerate(gates[n:], n):
+        flags, wide = self._drop_plan()
+        append = cols.append
+        for gid, gate, f in zip(count(n), islice(gates, n, None), flags):
             if len(gate) == 3:  # AND or two-operand XOR: most gates
                 kind, a, b = gate
                 v = cols[a] & cols[b] if kind == AND else cols[a] ^ cols[b]
-                if last[a] == gid:
-                    cols[a] = None
-                if last[b] == gid:
+                if f & 2:
                     cols[b] = None
             elif gate[0] == NOT:
                 a = gate[1]
                 v = cols[a] ^ ones
-                if last[a] == gid:
-                    cols[a] = None
             else:  # XOR of three or more operands
                 ops = gate[1:]
                 v = cols[ops[0]]
                 for o in ops[1:]:
                     v ^= cols[o]
-                for o in ops:
-                    if last[o] == gid:
-                        cols[o] = None
-            if last[gid] != gid:
-                cols[gid] = v
+                for o in wide[gid]:
+                    cols[o] = None
+            if f & 1:
+                cols[a] = None
+            append(v if f & 4 else None)
         return [cols[gid] for _, gid in self.outputs]
 
     def eval_all(self) -> list[TruthTable]:
         """Truth table of every output over all 2^arity inputs."""
         if self.arity > MAX_DENSE_ARITY:
             raise ValueError(f"dense enumeration limited to arity {MAX_DENSE_ARITY}")
-        columns = [variable_column(self.arity, v) for v in range(1, self.arity + 1)]
-        width = 1 << self.arity
-        return [TruthTable(self.arity, c) for c in self.output_columns(columns, width)]
+        columns = (variable_column(self.arity, v) for v in range(1, self.arity + 1))
+        return [TruthTable(self.arity, c) for c in self.output_columns(columns, 1 << self.arity)]

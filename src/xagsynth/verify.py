@@ -131,7 +131,7 @@ def check_exhaustive(circuit: Circuit, expected_and_count: int | None = None) ->
     if len(circuit.outputs) != n:
         raise ValueError(f"expected {n} outputs, circuit has {len(circuit.outputs)}")
     got = [t.bits for t in circuit.eval_all()]
-    expected = [reference_table_bits(n, i) for i in range(1, n + 1)]
+    expected = (reference_table_bits(n, i) for i in range(1, n + 1))  # one at a time
     return _report(EXHAUSTIVE, circuit, 1 << n, [(0, got, expected)],
                    lambda x: format(x, f"0{n}b")[::-1], expected_and_count)
 

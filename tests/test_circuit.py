@@ -155,11 +155,40 @@ class TestEval:
         export_bristol(c)
         assert c.and_count() == 1 and c._last is None
 
+    def test_drop_plan_costs_bytes_per_gate(self):
+        # the first pass builds a flag byte per gate, not an int per gate:
+        # a last-reader list of ints peaked at 49 B/gate and kept 31.7
+        from xagsynth import synthesize
+        c = synthesize(20000)
+        gates = len(c.gates)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = c.output_columns([1] * c.arity, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+            del out
+            plan = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert (peak - base) / gates < 24, (peak - base) / gates
+        assert (plan - base) / gates < 4, (plan - base) / gates
+
+    def test_input_columns_may_be_a_generator(self):
+        from xagsynth import synthesize
+        c = synthesize(9)
+        rng = random.Random(3)
+        columns = [rng.getrandbits(100) for _ in range(9)]
+        assert c.output_columns((col for col in columns), 100) == c.output_columns(columns, 100)
+        for k in (8, 10):
+            with pytest.raises(ValueError, match=f"^expected 9 input columns, got {k}$"):
+                c.output_columns((col for col in (columns * 2)[:k]), 100)
+
     def test_dead_columns_are_released(self):
         width = 1 << 20
         b = CircuitBuilder(1)
         g = 0
         for _ in range(64):
+            b.not_(g)  # dead: its column is never stored
             g = b.not_(g)
         c = b.finish([("y", g)])
         x = (1 << width) - 1

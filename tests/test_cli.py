@@ -23,7 +23,7 @@ from xagsynth import (
     import_bristol,
     synthesize,
 )
-from xagsynth.cli import cli
+from xagsynth.cli import cli, write_text_atomic
 
 
 class TestSynthCommand:
@@ -190,6 +190,19 @@ class TestIOErrors:
 
 
 class TestAtomicStreaming:
+    def test_text_is_encoded_a_slice_at_a_time(self, tmp_path):
+        # one write of the whole text would encode a second full copy
+        text = "0123456789abcde\n" * (1 << 19)  # 8 MiB
+        target = tmp_path / "t.json"
+        tracemalloc.start()
+        try:
+            write_text_atomic(str(target), text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert target.read_text() == text
+        assert peak < 3 << 20, peak
+
     def test_writer_failing_partway_leaves_target_untouched(self, tmp_path, monkeypatch, capsys):
         def failing(circuit, fh):
             fh.write("1 2\n1 1\n1 1\n\n" * 3)
@@ -289,6 +302,18 @@ class TestSampledMemory:
         peak = _child_peak_mib(["-m", "xagsynth.cli", "verify", "--n", str(self.N),
                                 "--mode", "sample", "--samples", "1000"])
         assert peak - synth_only <= 24, (peak, synth_only)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB")
+class TestDenseMemory:
+    # the pass drops each input column after its last reader and the
+    # reference columns are built one at a time, so an exhaustive check
+    # holds the live columns and the outputs, not every input and reference
+    def test_exhaustive_verify_peaks_near_the_outputs(self):
+        import_only = _child_peak_mib(["-c", "import xagsynth.cli"])
+        peak = _child_peak_mib(["-m", "xagsynth.cli", "verify", "--n", "22",
+                                "--mode", "exhaustive", "--expect-ands", "41"])
+        assert peak - import_only <= 22, (peak, import_only)
 
 
 class TestResourceErrors:
