@@ -106,7 +106,7 @@ class Circuit:
         self.gates = gates
         self.outputs = outputs
         self._walk: tuple[bytearray, int] | None = None  # filled by _structure()
-        self._last: tuple[bytearray, dict] | None = None  # filled by _drop_plan()
+        self._last: tuple[bytes, dict] | None = None  # filled by _drop_plan()
 
     def validate(self) -> None:
         """Check structural invariants; used on import and in tests."""
@@ -160,7 +160,7 @@ class Circuit:
 
     # -- evaluation --------------------------------------------------------
 
-    def _drop_plan(self) -> tuple[bytearray, dict[int, list[int]]]:
+    def _drop_plan(self) -> tuple[bytes, dict[int, list[int]]]:
         """Per non-input gate a flag byte, built on first evaluation and cached:
         after the gate, 1 drops its first operand's column, 2 its second's, and
         4 keeps its own. A wider XOR lists the operands it drops in the dict.
@@ -168,37 +168,43 @@ class Circuit:
         read, so an output's column is never dropped."""
         if self._last is None:
             n, gates = self.arity, self.gates
-            read = bytearray(len(gates))
+            read = bytearray(len(gates))  # 4 once an output or a later gate reads it
             for _, gid in self.outputs:
-                read[gid] = 1
-            flags = bytearray(len(gates) - n)
-            wide = {}
-            for gid, gate in zip(range(len(gates) - 1, n - 1, -1), reversed(gates)):
-                f = read[gid] << 2  # read holds 0 or 1
-                if len(gate) <= 3:  # AND, NOT or two-operand XOR: most gates
-                    if not read[gate[1]]:
-                        f |= 1
-                        read[gate[1]] = 1
-                    if len(gate) == 3 and not read[gate[2]]:
+                read[gid] = 4
+            drops = bytearray()  # last gate first
+            push, wide = drops.append, {}
+            for gate in islice(reversed(gates), len(gates) - n):
+                if len(gate) == 3:  # AND or two-operand XOR: most gates
+                    _, a, b = gate
+                    f = 0
+                    if not read[a]:
+                        f = 1
+                        read[a] = 4
+                    if not read[b]:
                         f |= 2
-                        read[gate[2]] = 1
+                        read[b] = 4
+                    push(f)
+                elif len(gate) == 2:  # NOT
+                    push(not read[gate[1]])
+                    read[gate[1]] = 4
                 else:  # a repeated operand is listed, and dropped, twice
-                    wide[gid] = drops = [o for o in gate[1:] if not read[o]]
-                    for o in drops:
-                        read[o] = 1
-                flags[gid - n] = f
-            self._last = (flags, wide)
+                    ops = wide[len(gates) - 1 - len(drops)] = [o for o in gate[1:] if not read[o]]
+                    for o in ops:
+                        read[o] = 4
+                    push(0)
+            drops.reverse()
+            # the keep bit is the gate's final read flag, so OR the two in one step
+            flags = int.from_bytes(drops, "little") | int.from_bytes(read[n:], "little")
+            self._last = (flags.to_bytes(len(drops), "little"), wide)
         return self._last
 
     def output_columns(self, input_columns: Iterable[int], width: int) -> list[int]:
         """Forward pass over bit columns of the given width.
 
-        ``input_columns`` yields the column of x_1 first; bit t of each
-        output column is that output's value at evaluation point t. The pass
-        copies the columns into its own list and drops every column, an
-        input's included, after its last reader, so only the live set is
-        held at once: a caller that keeps no other reference to an input
-        column lets it go early.
+        ``input_columns`` yields x_1's column first; bit t of each output
+        column is that output's value at point t. The pass holds its own copy
+        of the columns and drops each, an input's too, after its last reader,
+        so only the live set is held at once.
         """
         n, gates = self.arity, self.gates
         cols: list[int | None] = list(input_columns)

@@ -26,6 +26,7 @@ from .verify import check_exhaustive, check_lemma_suite, check_sampled, referenc
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
+_WRITE_SLICE = 1 << 20  # characters per write: the text layer encodes each write whole
 
 
 def write_atomic(path: str, write: Callable[[TextIO], object]) -> None:
@@ -52,15 +53,10 @@ def write_atomic(path: str, write: Callable[[TextIO], object]) -> None:
         raise type(exc)(exc.errno, exc.strerror, path) from exc
 
 
-_WRITE_SLICE = 1 << 20  # characters per write: the text layer encodes each write whole
-
-
 def write_text_atomic(path: str, text: str) -> None:
     """Write ``text`` to ``path`` through :func:`write_atomic`, a slice at a time."""
-    def write(fh: TextIO) -> None:
-        for i in range(0, len(text), _WRITE_SLICE):
-            fh.write(text[i:i + _WRITE_SLICE])
-    write_atomic(path, write)
+    slices = (text[i:i + _WRITE_SLICE] for i in range(0, len(text), _WRITE_SLICE))
+    write_atomic(path, lambda fh: fh.writelines(slices))
 
 
 def _build_parser() -> argparse.ArgumentParser:

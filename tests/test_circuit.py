@@ -179,9 +179,6 @@ class TestEval:
         rng = random.Random(3)
         columns = [rng.getrandbits(100) for _ in range(9)]
         assert c.output_columns((col for col in columns), 100) == c.output_columns(columns, 100)
-        for k in (8, 10):
-            with pytest.raises(ValueError, match=f"^expected 9 input columns, got {k}$"):
-                c.output_columns((col for col in (columns * 2)[:k]), 100)
 
     def test_dead_columns_are_released(self):
         width = 1 << 20
@@ -284,8 +281,10 @@ class TestStructure:
         from xagsynth import synthesize
         c = synthesize(3)
         for columns in ([1, 1], [1, 1, 1, 1]):
-            with pytest.raises(ValueError, match="expected 3 input columns"):
-                c.output_columns(columns, 1)
+            for given in (columns, (col for col in columns)):
+                with pytest.raises(ValueError,
+                                   match=f"^expected 3 input columns, got {len(columns)}$"):
+                    c.output_columns(given, 1)
 
 
 @st.composite
