@@ -156,8 +156,8 @@ class TestEval:
         assert c.and_count() == 1 and c._last is None
 
     def test_drop_plan_costs_bytes_per_gate(self):
-        # the first pass builds a flag byte per gate, not an int per gate:
-        # a last-reader list of ints peaked at 49 B/gate and kept 31.7
+        # the first pass builds and keeps a flag byte per gate; an int per
+        # gate would cost about 32 B/gate on its own
         from xagsynth import synthesize
         c = synthesize(20000)
         gates = len(c.gates)
