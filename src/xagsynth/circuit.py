@@ -28,7 +28,7 @@ gate list.
 from __future__ import annotations
 
 import sys
-from itertools import compress, count, islice
+from itertools import compress, islice
 from operator import countOf, itemgetter
 from typing import Iterable, Sequence
 
@@ -105,7 +105,7 @@ class Circuit:
         self.arity = arity
         self.gates = gates
         self.outputs = outputs
-        self._walk: tuple[bytearray, int] | None = None  # filled by _structure()
+        self._walk: tuple[bytearray, int] | None = None  # filled by _structure() or _drop_plan()
         self._last: tuple[bytes, dict] | None = None  # filled by _drop_plan()
 
     def validate(self) -> None:
@@ -134,7 +134,8 @@ class Circuit:
     # -- structure ---------------------------------------------------------
 
     def _structure(self) -> tuple[bytearray, int]:
-        """(reachable flags, reachable ANDs), walked once and cached."""
+        """(reachable flags, reachable ANDs), walked once and cached; the
+        first evaluation fills it too, from its plan walk."""
         if self._walk is None:
             gates = self.gates
             mark = bytearray(len(gates))
@@ -147,8 +148,11 @@ class Circuit:
                 else:
                     for o in gate[1:]:
                         mark[o] = 1
-            self._walk = (mark, countOf(map(itemgetter(0), compress(gates, mark)), AND))
+            self._reached(mark)
         return self._walk
+
+    def _reached(self, mark: bytearray) -> None:
+        self._walk = (mark, countOf(map(itemgetter(0), compress(self.gates, mark)), AND))
 
     def reachable(self) -> bytearray:
         """Flag per gate: reachable from some output (a fresh copy per call)."""
@@ -162,49 +166,55 @@ class Circuit:
 
     def _drop_plan(self) -> tuple[bytes, dict[int, list[int]]]:
         """Per non-input gate a flag byte, built on first evaluation and cached:
-        after the gate, 1 drops its first operand's column, 2 its second's, and
-        4 keeps its own. A wider XOR lists the operands it drops in the dict.
-        Walking backward, the first reader met is the last; outputs start out
-        read, so an output's column is never dropped."""
+        0 for a dead gate, else its kind (4 two-operand XOR, 8 AND, 16 NOT, 32
+        wider XOR) plus 1 to drop its first operand's column after it and 2 its
+        second's; a wider XOR lists the operands it drops in the dict. Walking
+        backward, the first reader met is the last, and a gate still unread
+        when met is dead and reads nothing; outputs start out read. The final
+        read flags are the reachable flags, so they fill _structure's cache."""
         if self._last is None:
             n, gates = self.arity, self.gates
-            read = bytearray(len(gates))  # 4 once an output or a later gate reads it
+            read = bytearray(len(gates))  # 1 once an output or a later live gate reads it
             for _, gid in self.outputs:
-                read[gid] = 4
+                read[gid] = 1
             drops = bytearray()  # last gate first
             push, wide = drops.append, {}
-            for gate in islice(reversed(gates), len(gates) - n):
-                if len(gate) == 3:  # AND or two-operand XOR: most gates
-                    _, a, b = gate
-                    f = 0
+            # reversed(read) reads each flag after the gate's readers (higher ids) ran
+            for gate, live in zip(islice(reversed(gates), len(gates) - n), reversed(read)):
+                if not live:
+                    push(0)
+                elif len(gate) == 3:  # AND or two-operand XOR: most gates
+                    kind, a, b = gate
+                    f = 8 if kind == AND else 4
                     if not read[a]:
-                        f = 1
-                        read[a] = 4
+                        f |= 1
+                        read[a] = 1
                     if not read[b]:
                         f |= 2
-                        read[b] = 4
+                        read[b] = 1
                     push(f)
                 elif len(gate) == 2:  # NOT
-                    push(not read[gate[1]])
-                    read[gate[1]] = 4
+                    push(17 if not read[gate[1]] else 16)
+                    read[gate[1]] = 1
                 else:  # a repeated operand is listed, and dropped, twice
                     ops = wide[len(gates) - 1 - len(drops)] = [o for o in gate[1:] if not read[o]]
                     for o in ops:
-                        read[o] = 4
-                    push(0)
+                        read[o] = 1
+                    push(32)
             drops.reverse()
-            # the keep bit is the gate's final read flag, so OR the two in one step
-            flags = int.from_bytes(drops, "little") | int.from_bytes(read[n:], "little")
-            self._last = (flags.to_bytes(len(drops), "little"), wide)
+            self._last = (bytes(drops), wide)
+            if self._walk is None:
+                self._reached(read)
         return self._last
 
     def output_columns(self, input_columns: Iterable[int], width: int) -> list[int]:
         """Forward pass over bit columns of the given width.
 
         ``input_columns`` yields x_1's column first; bit t of each output
-        column is that output's value at point t. The pass holds its own copy
-        of the columns and drops each, an input's too, after its last reader,
-        so only the live set is held at once.
+        column is that output's value at point t. The pass dispatches on each
+        gate's plan byte and skips dead gates. It holds its own copy of the
+        columns and drops each, an input's too, after its last reader, so
+        only the live set is held at once.
         """
         n, gates = self.arity, self.gates
         cols: list[int | None] = list(input_columns)
@@ -213,25 +223,28 @@ class Circuit:
         ones = full_mask(width)
         flags, wide = self._drop_plan()
         append = cols.append
-        for gid, gate, f in zip(count(n), islice(gates, n, None), flags):
-            if len(gate) == 3:  # AND or two-operand XOR: most gates
-                kind, a, b = gate
-                v = cols[a] & cols[b] if kind == AND else cols[a] ^ cols[b]
-                if f & 2:
-                    cols[b] = None
-            elif gate[0] == NOT:
+        for gate, f in zip(islice(gates, n, None), flags):
+            if f & 12:  # AND or two-operand XOR: most gates
+                _, a, b = gate
+                v = cols[a] & cols[b] if f & 8 else cols[a] ^ cols[b]
+            elif f & 16:  # NOT
                 a = gate[1]
                 v = cols[a] ^ ones
-            else:  # XOR of three or more operands
+            elif f:  # XOR of three or more operands
                 ops = gate[1:]
                 v = cols[ops[0]]
                 for o in ops[1:]:
                     v ^= cols[o]
-                for o in wide[gid]:
+                for o in wide[len(cols)]:
                     cols[o] = None
+            else:  # dead
+                append(None)
+                continue
+            if f & 2:
+                cols[b] = None
             if f & 1:
                 cols[a] = None
-            append(v if f & 4 else None)
+            append(v)
         return [cols[gid] for _, gid in self.outputs]
 
     def eval_all(self) -> list[TruthTable]:

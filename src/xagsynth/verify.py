@@ -11,6 +11,7 @@ almost surely all-zero outputs at large arity.
 from __future__ import annotations
 
 import random
+from functools import cache
 
 from .anf import MAX_DENSE_ARITY, Anf
 from .bitops import full_mask, iter_one_bits
@@ -155,37 +156,47 @@ def check_sampled(circuit: Circuit, count: int, seed: int,
     """Seeded sampled equivalence check against the direct reference.
 
     Deterministic for a fixed seed (Mersenne Twister via random.Random).
-    Points 0..count-1 are seeded random bits, one block held whole; the
-    n + 2 structured points follow in blocks of STRUCTURED_BLOCK
-    single-zero points, each built in closed form when it is reached. The
-    all-zeros and all-ones points add no distinct column, so they ride in
-    the first block: ceil(n / STRUCTURED_BLOCK) structured blocks in all.
-    Expected values are leave-one-out products of the raw input columns,
-    formed from running prefix/suffix bitwise ANDs, one block at a time.
+    Points 0..count-1 are seeded random bits, one block; its expected values
+    are leave-one-out products of its columns, from running prefix/suffix
+    bitwise ANDs, and its pass then holds the only references to them. The
+    n + 2 structured points follow in blocks of w single-zero points, w the
+    widest power-of-two multiple of STRUCTURED_BLOCK no wider than ``count``
+    (at least STRUCTURED_BLOCK), each built in closed form when reached, and
+    so are their expected values. The all-zeros and all-ones points add no
+    distinct column, so they ride in the first block: 1 + ceil(n / w) passes.
     """
     n = circuit.arity
     if len(circuit.outputs) != n:
         raise ValueError(f"expected {n} outputs, circuit has {len(circuit.outputs)}")
     if count < 1:
         raise ValueError("sample count must be at least 1")
-    rng = random.Random(seed)
-    columns = [rng.getrandbits(count) for _ in range(n)]
 
-    def blocks():  # (first point, input columns, width), built as they are reached
-        yield 0, columns, count
-        starts = [0, *range(2 + STRUCTURED_BLOCK, n + 2, STRUCTURED_BLOCK)]
+    def draw() -> list[int]:
+        rng = random.Random(seed)
+        return [rng.getrandbits(count) for _ in range(n)]
+
+    def evaluated():  # (first point, got columns, expected columns), built as reached
+        columns = draw()
+        expected = leave_one_out_columns(columns, count)
+        columns = iter(columns)  # the pass copies them out, then holds the only references
+        yield 0, circuit.output_columns(columns, count), expected
+        width = STRUCTURED_BLOCK << max(0, (count // STRUCTURED_BLOCK).bit_length() - 1)
+        starts = [0, *range(2 + width, n + 2, width)]
         for start, stop in zip(starts, starts[1:] + [n + 2]):
-            yield count + start, _structured_columns(n, start, stop - start), stop - start
+            columns = iter(_structured_columns(n, start, stop - start))
+            ones = 2 if start == 0 else 0  # output i is 1 at all-ones, point 1, and at i + 1
+            expected = (ones | 1 << s - start if start <= s < stop else ones
+                        for s in range(2, n + 2))
+            yield count + start, circuit.output_columns(columns, stop - start), expected
 
-    evaluated = ((first, circuit.output_columns(cols, width), leave_one_out_columns(cols, width))
-                 for first, cols, width in blocks())
+    redraw = cache(draw)  # only a failing report names a point, after every pass
 
     def point(t: int) -> str:
         if t < count:
-            return "".join(str((c >> t) & 1) for c in columns)
+            return "".join(str((c >> t) & 1) for c in redraw())
         return "".join(map(str, _structured_columns(n, t - count, 1)))
 
-    return _report(SAMPLED, circuit, count + n + 2, evaluated, point, expected_and_count,
+    return _report(SAMPLED, circuit, count + n + 2, evaluated(), point, expected_and_count,
                    count, seed)
 
 

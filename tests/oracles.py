@@ -3,8 +3,8 @@
 Deliberately independent of the package internals: polynomials are lists of
 variable-index tuples, tables are plain lists, and every transform is the
 direct definition (subset sums, pairwise expansion), not the fast path. The
-one helper that builds a circuit, ``retap``, uses the public ``Circuit``
-constructor.
+two helpers that build a circuit, ``retap`` and ``with_zero_outputs``, use
+the public ``Circuit`` constructor.
 """
 
 import json
@@ -128,6 +128,15 @@ def retap(circuit, k, gid):
     outputs = list(circuit.outputs)
     outputs[k] = (outputs[k][0], gid)
     return Circuit(circuit.arity, circuit.gates, tuple(outputs))
+
+
+def with_zero_outputs(circuit, indices):
+    """The circuit with the given outputs tapped at a constant 0, XOR(x1, x1)."""
+    zero = len(circuit.gates)
+    c = Circuit(circuit.arity, circuit.gates + (("XOR", 0, 0),), circuit.outputs)
+    for k in indices:
+        c = retap(c, k, zero)
+    return c
 
 
 def json_dumps_circuit(circuit, construction=None):

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from xagsynth import AND, NOT, XOR, Anf, Circuit, CircuitBuilder, export_bristol
 
-from oracles import all_inputs, mono, naive_eval, naive_reachable, retap, table_int
+from oracles import (all_inputs, mono, naive_eval, naive_reachable, retap, table_int,
+                     with_zero_outputs)
 
 
 def sigma3_builder():
@@ -172,6 +173,32 @@ class TestEval:
             tracemalloc.stop()
         assert (peak - base) / gates < 24, (peak - base) / gates
         assert (plan - base) / gates < 4, (plan - base) / gates
+
+    def test_plan_walk_fills_the_reachable_flags(self):
+        # the plan walk skips dead gates, so its read flags are exactly the
+        # reachable flags; a dead gate's operands stay dead unless a live
+        # gate reads them, and the pass still matches the oracle
+        from xagsynth import synthesize
+        b = CircuitBuilder(3)
+        x1, x2, x3 = 0, 1, 2
+        wide = b.xor(x1, x2, b.not_(x3))  # dead, like the NOT it reads
+        b.and_(wide, x1)  # dead
+        b.and_(x1, x3)  # dead
+        y = b.xor(b.and_(x1, x2), x2)
+        hand = b.finish([("y", y), ("x2", x2)])
+        c9 = synthesize(9)
+        circuits = [hand, retap(c9, 0, 0), retap(c9, 4, len(c9.gates) - 2),
+                    with_zero_outputs(c9, [1, 3, 8]), with_zero_outputs(c9, range(9))]
+        rng = random.Random(11)
+        for c in circuits:
+            fresh = Circuit(c.arity, c.gates, c.outputs)
+            columns = [rng.getrandbits(64) for _ in range(c.arity)]
+            got = c.output_columns(columns, 64)
+            assert c._walk == fresh._structure()
+            for t in range(64):
+                bits = [(col >> t) & 1 for col in columns]
+                assert [(col >> t) & 1 for col in got] == naive_eval(c.gates, c.outputs, bits)
+        assert hand.reachable() == bytearray([1, 1, 0, 0, 0, 0, 0, 1, 1])
 
     def test_input_columns_may_be_a_generator(self):
         from xagsynth import synthesize

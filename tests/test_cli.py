@@ -92,6 +92,12 @@ class TestSynthCommand:
         monkeypatch.setattr(Circuit, "reachable", counted_reachable)
         assert cli(["synth", "--n", "40", "--out", str(tmp_path / "c")]) == 0
         assert len(walks) == 1 and len(calls) == 1
+        # a check evaluates before it counts ANDs, and the evaluation's plan
+        # walk fills the reachable flags: the structural walk never runs
+        for argv in (["verify", "--n", "40", "--mode", "sample", "--samples", "50"],
+                     ["verify", "--n", "12", "--mode", "exhaustive"]):
+            assert cli(argv) == 0
+        assert len(walks) == 1
 
 
 class TestVerifyCommand:

@@ -28,6 +28,7 @@ from oracles import (
     sampled_mismatches,
     table_int,
     vars_of,
+    with_zero_outputs,
 )
 
 
@@ -179,15 +180,6 @@ class TestSampled:
         assert sampled_mismatches(a, 2000, 9, other=b) == (0, [])
 
 
-def _with_zero_outputs(circuit, indices):
-    """The circuit with the given outputs tapped at a constant 0, XOR(x1, x1)."""
-    zero = len(circuit.gates)
-    c = Circuit(circuit.arity, circuit.gates + (("XOR", 0, 0),), circuit.outputs)
-    for k in indices:
-        c = retap(c, k, zero)
-    return c
-
-
 def _report_sha256(report):
     return hashlib.sha256((json.dumps(report.to_dict(), indent=2) + "\n").encode()).hexdigest()
 
@@ -202,7 +194,7 @@ class TestSampledBlocks:
          "df1cb861eb8acf2902671dbae61712e4a0db69ddab7f3a679ebc6004b23932a0"),
         (4100, 37, 5, lambda c: retap(c, 4098, 0),  # output 4099 reads x1
          "212dba47b68b173a1eb1ad0b24237d618a5e8465a153e01cf0f4d70099c5f38c"),
-        (4100, 37, 5, lambda c: _with_zero_outputs(c, [4099]),
+        (4100, 37, 5, lambda c: with_zero_outputs(c, [4099]),
          "f6432a5dbbe7d095a00bce7ab3785c02cc02804edc3451d260f4eacf7387842c"),
     ])
     def test_report_bytes_pinned(self, n, count, seed, mutate, digest):
@@ -226,7 +218,7 @@ class TestSampledBlocks:
         inputs = good
         for k in range(0, n, 3):
             inputs = retap(inputs, k, k)
-        mutants = [good, rotated, inputs, _with_zero_outputs(good, range(1, n, 2))]
+        mutants = [good, rotated, inputs, with_zero_outputs(good, range(1, n, 2))]
         for seed, c in enumerate(mutants):
             r = check_sampled(c, count, seed)
             total, first = sampled_mismatches(c, count, seed)
@@ -251,6 +243,57 @@ class TestSampledBlocks:
         r = check_sampled(synthesize(8), 5, seed=3)
         assert r.passed and r.inputs_checked == 5 + 8 + 2
         assert calls == [5, 6, 4]
+
+
+    def test_structured_blocks_as_wide_as_the_random_block(self, monkeypatch):
+        # 20 samples in blocks of 4 widen the structured block to 16 points:
+        # 1 + ceil(40 / 16) passes, not 1 + ceil(40 / 4)
+        monkeypatch.setattr(xagsynth.verify, "STRUCTURED_BLOCK", 4)
+        calls = []
+        output_columns = Circuit.output_columns
+        monkeypatch.setattr(Circuit, "output_columns",
+                            lambda self, cols, width: calls.append(width)
+                            or output_columns(self, cols, width))
+        r = check_sampled(synthesize(40), 20, seed=3)
+        assert r.passed and r.inputs_checked == 20 + 40 + 2
+        assert calls == [20, 18, 16, 8]
+
+    def test_structured_references_are_closed_form(self, monkeypatch):
+        # expected values at structured points do not come from the block's
+        # own inputs, so a block built at the wrong points is caught: here
+        # x1 and x2 trade columns, and outputs 1 and 2 each differ twice
+        structured = xagsynth.verify._structured_columns
+
+        def swapped(n, start, width):
+            columns = structured(n, start, width)
+            columns[0], columns[1] = columns[1], columns[0]
+            return columns
+
+        monkeypatch.setattr(xagsynth.verify, "_structured_columns", swapped)
+        r = check_sampled(synthesize(12), 5, 1)
+        assert not r.passed and r.mismatch_count == 4
+        assert {m.output_index for m in r.mismatches} == {1, 2}
+
+    def test_random_block_released_before_structured_passes(self, monkeypatch):
+        # the random block (2048 inputs x 16384 samples, 4 MiB) is held only
+        # by its own pass, so a structured pass starts without it
+        n, count = 2048, 16384
+        c = synthesize(n)
+        c.output_columns([1] * n, 1)  # the plan is kept, so build it first
+        held = []
+        output_columns = Circuit.output_columns
+        monkeypatch.setattr(Circuit, "output_columns",
+                            lambda self, cols, width:
+                            held.append(tracemalloc.get_traced_memory()[0])
+                            or output_columns(self, cols, width))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            r = check_sampled(c, count, seed=4)
+        finally:
+            tracemalloc.stop()
+        assert r.passed and len(held) == 2
+        assert all(h - base < 2 << 20 for h in held[1:]), [h - base for h in held]
 
 
 class TestLemmaSuite:
