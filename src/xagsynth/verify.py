@@ -19,7 +19,7 @@ from .circuit import Circuit
 from .synth import synthesize_plan
 
 MISMATCH_CAP = 32
-STRUCTURED_BLOCK = 4096  # structured sample points evaluated per block
+STRUCTURED_BLOCK = 4096  # fewest single-zero points per structured block
 
 EXHAUSTIVE = "exhaustive"
 SAMPLED = "sampled"
