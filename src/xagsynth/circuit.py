@@ -148,10 +148,10 @@ class Circuit:
                 else:
                     for o in gate[1:]:
                         mark[o] = 1
-            self._reached(mark)
+            self._cache_structure(mark)
         return self._walk
 
-    def _reached(self, mark: bytearray) -> None:
+    def _cache_structure(self, mark: bytearray) -> None:
         self._walk = (mark, countOf(map(itemgetter(0), compress(self.gates, mark)), AND))
 
     def reachable(self) -> bytearray:
@@ -194,7 +194,7 @@ class Circuit:
                         read[b] = 1
                     push(f)
                 elif len(gate) == 2:  # NOT
-                    push(17 if not read[gate[1]] else 16)
+                    push(16 if read[gate[1]] else 17)
                     read[gate[1]] = 1
                 else:  # a repeated operand is listed, and dropped, twice
                     ops = wide[len(gates) - 1 - len(drops)] = [o for o in gate[1:] if not read[o]]
@@ -204,7 +204,7 @@ class Circuit:
             drops.reverse()
             self._last = (bytes(drops), wide)
             if self._walk is None:
-                self._reached(read)
+                self._cache_structure(read)
         return self._last
 
     def output_columns(self, input_columns: Iterable[int], width: int) -> list[int]:
