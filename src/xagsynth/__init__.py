@@ -1,6 +1,6 @@
 """AND-optimal XOR-AND circuits for all leave-one-out products of n inputs."""
 
-from .anf import Anf, TruthTable
+from .anf import Anf
 from .circuit import AND, INPUT, NOT, XOR, Circuit, CircuitBuilder
 from .io_formats import BristolFormatError, export_bristol, export_dot, export_json, import_bristol
 from .synth import (BASELINE, OPTIMAL, SynthesisPlan, degree_lower_bound, synthesize,
@@ -9,7 +9,7 @@ from .verify import (VerificationReport, check_exhaustive, check_lemma_suite, ch
                      reference_anf, reference_table_bits, sigma_anf)
 
 __all__ = [
-    "Anf", "TruthTable",
+    "Anf",
     "AND", "INPUT", "NOT", "XOR", "Circuit", "CircuitBuilder",
     "BristolFormatError", "export_bristol", "export_dot", "export_json", "import_bristol",
     "BASELINE", "OPTIMAL", "SynthesisPlan", "degree_lower_bound", "synthesize", "synthesize_plan",

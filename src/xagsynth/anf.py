@@ -5,19 +5,13 @@ A Boolean function has a unique representation as an XOR of monomials
 exactly. A monomial is an int mask: bit k set means x_{k+1} is a factor, and
 0 is the constant 1. Variables are 1-based (x_1..x_n) on every external
 surface. The empty polynomial is the constant 0.
-
-A dense truth table converts to its polynomial by the GF(2) subset-sum
-butterfly, which is its own inverse. The dense path is capped at arity 24
-(a 2 MiB table); symbolic arithmetic has no such cap.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from .bitops import iter_one_bits, mobius_transform
-
-MAX_DENSE_ARITY = 24
+from .bitops import iter_one_bits
 
 
 def _mask(indices: Iterable[int]) -> int:
@@ -33,31 +27,6 @@ def _mask(indices: Iterable[int]) -> int:
 def _term_str(mask: int) -> str:
     """A monomial as printed: ``x1x3``, or ``1`` for the constant."""
     return "".join(f"x{k + 1}" for k in iter_one_bits(mask)) or "1"
-
-
-class TruthTable:
-    """Dense single-output function table: bit x of ``bits`` is f(x).
-
-    Treat as immutable: equality and the hash read both fields.
-    """
-
-    __slots__ = ("arity", "bits")
-
-    def __init__(self, arity: int, bits: int):
-        if not 0 <= arity <= MAX_DENSE_ARITY:
-            raise ValueError(f"arity must be in 0..{MAX_DENSE_ARITY}")
-        if bits < 0 or bits.bit_length() > 1 << arity:
-            raise ValueError("table has bits beyond 2^arity entries")
-        self.arity = arity
-        self.bits = bits
-
-    def __eq__(self, other):
-        if not isinstance(other, TruthTable):
-            return NotImplemented
-        return self.arity == other.arity and self.bits == other.bits
-
-    def __hash__(self):
-        return hash((self.arity, self.bits))
 
 
 class Anf:
@@ -127,13 +96,6 @@ class Anf:
     def degree(self) -> int:
         """Largest monomial degree; 0 for the zero polynomial."""
         return max((m.bit_count() for m in self.terms), default=0)
-
-    # -- truth-table conversion --------------------------------------------
-
-    @classmethod
-    def from_truth_table(cls, table: TruthTable) -> "Anf":
-        coeffs = mobius_transform(table.bits, table.arity)
-        return cls(table.arity, iter_one_bits(coeffs))
 
     def __str__(self) -> str:
         if not self.terms:

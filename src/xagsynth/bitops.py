@@ -34,17 +34,6 @@ def variable_column(arity: int, var: int) -> int:
     return clear_mask(arity, var - 1) << (1 << (var - 1))
 
 
-def mobius_transform(bits: int, arity: int) -> int:
-    """GF(2) subset-sum butterfly on a 2^arity-bit column; an involution.
-
-    Maps a truth table to its ANF coefficient vector (coefficient of the
-    monomial with variable set S lands at index S) and back.
-    """
-    for j in range(arity):
-        bits ^= (bits & clear_mask(arity, j)) << (1 << j)
-    return bits
-
-
 def iter_one_bits(x: int, limit: int | None = None):
     """Yield positions of set bits of x, lowest first, up to limit."""
     n = 0

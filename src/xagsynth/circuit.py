@@ -32,8 +32,9 @@ from itertools import compress, islice
 from operator import countOf, itemgetter
 from typing import Iterable, Sequence
 
-from .anf import MAX_DENSE_ARITY, TruthTable
 from .bitops import full_mask, variable_column
+
+MAX_DENSE_ARITY = 24  # eval_all's cap: a 2 MiB column per output
 
 INPUT = "INPUT"
 AND = "AND"
@@ -247,9 +248,10 @@ class Circuit:
             append(v)
         return [cols[gid] for _, gid in self.outputs]
 
-    def eval_all(self) -> list[TruthTable]:
-        """Truth table of every output over all 2^arity inputs."""
+    def eval_all(self) -> list[int]:
+        """Truth table of every output over all 2^arity inputs: bit x of an
+        output's int is its value at point x."""
         if self.arity > MAX_DENSE_ARITY:
             raise ValueError(f"dense enumeration limited to arity {MAX_DENSE_ARITY}")
         columns = (variable_column(self.arity, v) for v in range(1, self.arity + 1))
-        return [TruthTable(self.arity, c) for c in self.output_columns(columns, 1 << self.arity)]
+        return self.output_columns(columns, 1 << self.arity)

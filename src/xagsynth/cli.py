@@ -18,7 +18,7 @@ import sys
 from functools import partial
 from typing import Callable, TextIO
 
-from .anf import MAX_DENSE_ARITY
+from .circuit import MAX_DENSE_ARITY
 from .io_formats import write_bristol, write_dot, write_json
 from .synth import BASELINE, OPTIMAL, degree_lower_bound, synthesize, synthesize_plan
 from .verify import check_exhaustive, check_lemma_suite, check_sampled, reference_anf

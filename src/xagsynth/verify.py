@@ -13,9 +13,9 @@ from __future__ import annotations
 import random
 from functools import cache
 
-from .anf import MAX_DENSE_ARITY, Anf
+from .anf import Anf
 from .bitops import full_mask, iter_one_bits
-from .circuit import Circuit
+from .circuit import AND, MAX_DENSE_ARITY, XOR, Circuit
 from .synth import synthesize_plan
 
 MISMATCH_CAP = 32
@@ -131,7 +131,7 @@ def check_exhaustive(circuit: Circuit, expected_and_count: int | None = None) ->
         raise ValueError(f"exhaustive check limited to arity {MAX_DENSE_ARITY}")
     if len(circuit.outputs) != n:
         raise ValueError(f"expected {n} outputs, circuit has {len(circuit.outputs)}")
-    got = [t.bits for t in circuit.eval_all()]
+    got = circuit.eval_all()
     expected = (reference_table_bits(n, i) for i in range(1, n + 1))  # one at a time
     return _report(EXHAUSTIVE, circuit, 1 << n, [(0, got, expected)],
                    lambda x: format(x, f"0{n}b")[::-1], expected_and_count)
@@ -241,70 +241,76 @@ def _gf2_rank(rows: list[int]) -> int:
     return rank
 
 
+def gate_anfs(circuit: Circuit) -> list[Anf]:
+    """The exact ANF of every gate, in id order, by :class:`Anf` arithmetic.
+
+    An oracle that shares no code with :meth:`Circuit.output_columns`:
+    input x_v is the variable itself, AND is a product, XOR the sum of its
+    operands and NOT adds the constant 1. Every gate is walked, dead ones
+    too, and a polynomial may grow exponentially with the circuit's depth.
+    """
+    n = circuit.arity
+    anfs = [Anf.linear(n, [v]) for v in range(1, n + 1)]
+    for kind, *ops in circuit.gates[n:]:
+        if kind == AND:
+            anfs.append(anfs[ops[0]] * anfs[ops[1]])
+        elif kind == XOR:
+            anfs.append(sum((anfs[o] for o in ops[1:]), anfs[ops[0]]))
+        else:  # NOT
+            anfs.append(anfs[ops[0]] + Anf(n, [0]))
+    return anfs
+
+
 def check_lemma_suite(n_max: int) -> list[LemmaCheck]:
-    """Run the symbolic property suite for every arity 3..n_max."""
+    """Run the symbolic property suite for every arity 3..n_max.
+
+    Each check compares the nodes the optimal construction names, as
+    :func:`gate_anfs` computes them, with the paper's closed forms.
+    """
     if not 3 <= n_max <= 16:
         raise ValueError("n_max must be in 3..16")
     checks: list[LemmaCheck] = []
     add = checks.append
 
     for n in range(3, n_max + 1):
-        sig = sigma_anf(n)
-
-        # stage-1 recursion: the synthesized sigma_n node matches the
-        # n-monomial sum, and stage 1 costs exactly n-2 AND gates
         plan = synthesize_plan(n)
-        circuit = Circuit(n, plan.circuit.gates, (("sigma", plan.sigma),))
-        got_anf = Anf.from_truth_table(circuit.eval_all()[0])
+        anfs = gate_anfs(plan.circuit)
+
+        # stage-1 recursion: the sigma_n node is the n-monomial sum, and
+        # stage 1 costs exactly n-2 AND gates
+        sig = anfs[plan.sigma]
         stage1_ands = plan.stage_and_counts[0]
-        ok = got_anf == sig and stage1_ands == n - 2
+        ok = sig == sigma_anf(n) and stage1_ands == n - 2
         add(LemmaCheck("stage1-sigma", n, ok,
-                       f"and_gates={stage1_ands} expected={n - 2}"))
+                       "" if ok else f"got {sig}; and_gates={stage1_ands} expected={n - 2}"))
 
         # each pair product (x_i XOR x_{i+1}) * sigma_n keeps exactly the two
-        # monomials missing x_i and x_{i+1}
-        pairs = [Anf.linear(n, [i, i + 1]) * sig for i in range(1, n)]
+        # monomials missing x_i and x_{i+1}; for even n the last stage-2 node
+        # is not one of them
+        stage2 = [anfs[gid] for gid in plan.stage2_nodes]
+        pairs = stage2 if n % 2 else stage2[:-1]
         bad = [i for i, product in enumerate(pairs, start=1)
                if product != reference_anf(n, i) + reference_anf(n, i + 1)]
         detail = f"i={bad[0]}: got {pairs[bad[0] - 1]}" if bad else ""
         add(LemmaCheck("pair-product-two-monomials", n, not bad, detail))
 
-        # the n intermediates: sigma_n and the stage-2 nodes, whose last one
-        # for even arity is sigma_{n-1} * (x_1 + ... + x_{n-1}); that product
+        # for even n the last stage-2 node, sigma_{n-1} * (x_1 + ... + x_{n-1}),
         # collapses to the single monomial x_1...x_{n-1}
-        if n % 2:
-            intermediates = [sig, *pairs]
-        else:
-            odd_sig = Anf(n, sigma_anf(n - 1).terms)  # sigma_{n-1} widened to arity n
-            product = odd_sig * Anf.linear(n, range(1, n))
-            ok = product == Anf.monomial(n, range(1, n))
-            add(LemmaCheck("even-last-output", n, ok, str(product)))
-            intermediates = [sig, *pairs[:-1], product]
-
-        # stage-3 extraction: the first-output formula and the XOR chain
-        # reproduce each single leave-one-out monomial
-        if n % 2:
-            f = sig
-            for i in range(1, (n - 1) // 2 + 1):
-                f = f + intermediates[2 * i]
-            chain_top = n
-        else:
-            f = sig + intermediates[-1]
-            for i in range(1, (n - 2) // 2 + 1):
-                f = f + intermediates[2 * i]
-            chain_top = n - 1
-        ok = f == reference_anf(n, 1)
-        for i in range(2, chain_top + 1):
-            f = f + intermediates[i - 1]
-            ok = ok and f == reference_anf(n, i)
         if n % 2 == 0:
-            ok = ok and intermediates[-1] == reference_anf(n, n)
-        add(LemmaCheck("output-extraction", n, ok))
+            last = stage2[-1]
+            add(LemmaCheck("even-last-output", n, last == Anf.monomial(n, range(1, n)),
+                           str(last)))
+
+        # stage-3 extraction: output i is the single monomial missing x_i
+        outputs = [anfs[gid] for _, gid in plan.circuit.outputs]
+        bad = [i for i, f in enumerate(outputs, start=1) if f != reference_anf(n, i)]
+        detail = f"i={bad[0]}: got {outputs[bad[0] - 1]}" if bad else ""
+        add(LemmaCheck("output-extraction", n, not bad, detail))
 
         # the n intermediates are linearly independent in the basis of the n
         # degree-(n-1) monomials, so XOR subsets reach every output; such a
         # monomial misses one variable, and a row is the set of missing ones
-        missing = [[full_mask(n) ^ m for m in a.terms] for a in intermediates]
+        missing = [[full_mask(n) ^ m for m in a.terms] for a in [sig, *stage2]]
         in_basis = all(v.bit_count() == 1 for row in missing for v in row)
         rank = _gf2_rank([sum(row) for row in missing])
         add(LemmaCheck("linear-independence", n, in_basis and rank == n, f"rank={rank}"))

@@ -4,14 +4,15 @@ Deliberately independent of the package internals: polynomials are lists of
 variable-index tuples, tables are plain lists, and every transform is the
 direct definition (subset sums, pairwise expansion), not the fast path. The
 two helpers that build a circuit, ``retap`` and ``with_zero_outputs``, use
-the public ``Circuit`` constructor.
+the public ``Circuit`` constructor; ``patch_optimal`` and its two mutants
+wrap the optimal construction for mutation tests.
 """
 
 import json
 import random
 from itertools import product
 
-from xagsynth import Circuit
+from xagsynth import Circuit, synth
 
 
 def naive_monomial_value(indices, bits):
@@ -137,6 +138,29 @@ def with_zero_outputs(circuit, indices):
     for k in indices:
         c = retap(c, k, zero)
     return c
+
+
+def patch_optimal(monkeypatch, change):
+    """Make ``synthesize_plan``'s optimal construction a mutant: ``change``
+    maps (builder, sigma id, stage-2 ids, output ids) to the sigma, stage-2
+    and output ids it returns instead; the stage AND counts are kept."""
+    build = synth._build_optimal
+
+    def mutant(builder, n):
+        sigma, stage2, outputs, counts = build(builder, n)
+        return (*change(builder, sigma, stage2, outputs), counts)
+
+    monkeypatch.setattr(synth, "_build_optimal", mutant)
+
+
+def stage2_at_one_and(builder, sigma, stage2, outputs):
+    """Every stage-2 id names one new, dead AND(x_1, x_2); the outputs stay right."""
+    return sigma, [builder.and_(0, 1)] * len(stage2), outputs
+
+
+def outputs_at_sigma(builder, sigma, stage2, outputs):
+    """Every output is tapped at sigma_n."""
+    return sigma, stage2, [sigma] * len(outputs)
 
 
 def json_dumps_circuit(circuit, construction=None):

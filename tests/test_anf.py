@@ -2,17 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xagsynth import Anf, TruthTable
+from xagsynth import Anf
 
-from oracles import (
-    naive_anf_table,
-    naive_anf_terms,
-    naive_multiply,
-    naive_table,
-    mono,
-    table_int,
-    vars_of,
-)
+from oracles import naive_anf_terms, naive_multiply, naive_table, mono, vars_of
 
 
 def anf_of(n, *term_tuples):
@@ -71,7 +63,6 @@ class TestPinnedText:
         built = [
             Anf.linear(3, [1, 2]) + Anf.linear(3, [2, 3]),
             Anf.linear(3, [3, 1]),
-            Anf.from_truth_table(TruthTable(3, table_int(naive_table(3, lambda b: b[0] ^ b[2])))),
             Anf.monomial(3, [1]) + Anf.monomial(3, [3]),
         ]
         assert all(a == built[0] for a in built)
@@ -79,28 +70,6 @@ class TestPinnedText:
         assert len(set(built)) == 1
         assert len({Anf(3), Anf(4), Anf.monomial(3, []), *built}) == 4
         assert Anf(3) != Anf(4) and Anf.monomial(3, [1]) != Anf.monomial(3, [2])
-
-    @pytest.mark.parametrize("arity, bits, message", [
-        (25, 0, "arity must be in 0..24"),
-        (-1, 0, "arity must be in 0..24"),
-        (3, -1, "table has bits beyond 2^arity entries"),
-        (3, 1 << 8, "table has bits beyond 2^arity entries"),
-        (0, 1 << 1, "table has bits beyond 2^arity entries"),
-        (5, 1 << 32, "table has bits beyond 2^arity entries"),
-    ])
-    def test_truth_table_messages(self, arity, bits, message):
-        with pytest.raises(ValueError) as exc:
-            TruthTable(arity, bits)
-        assert str(exc.value) == message
-
-    @pytest.mark.parametrize("arity", [0, 1, 3, 5])
-    def test_truth_table_widest_bits_accepted(self, arity):
-        assert TruthTable(arity, (1 << (1 << arity)) - 1).bits.bit_length() == 1 << arity
-
-    def test_truth_table_equality_and_hash(self):
-        assert TruthTable(3, 5) == TruthTable(3, 5)
-        assert hash(TruthTable(3, 5)) == hash(TruthTable(3, 5))
-        assert TruthTable(3, 5) != TruthTable(4, 5) and TruthTable(3, 5) != TruthTable(3, 6)
 
 
 class TestAdd:
@@ -118,15 +87,15 @@ class TestAdd:
             Anf(3) + Anf(4)
 
     def test_sum_of_first_two_outputs_n3(self):
-        # expected value computed with the naive Moebius oracle on the
-        # directly-evaluated output tables
+        # the summands and the expected sum both come from the naive Moebius
+        # oracle on the directly-evaluated output tables
         n = 3
         t1 = naive_table(n, lambda bits: bits[1] & bits[2])
         t2 = naive_table(n, lambda bits: bits[0] & bits[2])
         expected = naive_anf_terms(n, t1) ^ naive_anf_terms(n, t2)
         assert expected == {frozenset({2, 3}), frozenset({1, 3})}
-        a1 = Anf.from_truth_table(TruthTable(n, table_int(t1)))
-        a2 = Anf.from_truth_table(TruthTable(n, table_int(t2)))
+        a1 = Anf(n, [mono(*t) for t in naive_anf_terms(n, t1)])
+        a2 = Anf(n, [mono(*t) for t in naive_anf_terms(n, t2)])
         assert as_term_set(a1 + a2) == expected
 
 
@@ -169,36 +138,6 @@ class TestDegree:
         assert anf_of(6, (2, 3, 4, 5, 6)).degree() == 5
 
 
-class TestTruthTableConversion:
-    def test_all_zeros(self):
-        assert Anf.from_truth_table(TruthTable(3, 0)) == Anf(3)
-
-    def test_constant_one(self):
-        assert Anf.from_truth_table(TruthTable(2, table_int([1, 1, 1, 1]))) == Anf(2, [mono()])
-
-    def test_majority_table(self):
-        t = naive_table(3, lambda bits: int(sum(bits) >= 2))
-        a = Anf.from_truth_table(TruthTable(3, table_int(t)))
-        assert a == anf_of(3, (1, 2), (2, 3), (1, 3))
-
-    def test_second_output_n4(self):
-        t = naive_table(4, lambda bits: bits[0] & bits[2] & bits[3])
-        a = Anf.from_truth_table(TruthTable(4, table_int(t)))
-        assert a == anf_of(4, (1, 3, 4))
-
-    def test_majority_to_table(self):
-        # the forward direction from the oracle: evaluate the polynomial
-        # point by point, then read the table back
-        terms = [(1, 2), (2, 3), (1, 3)]
-        t = naive_anf_table(3, terms)
-        assert t == naive_table(3, lambda bits: int(sum(bits) >= 2))
-        assert Anf.from_truth_table(TruthTable(3, table_int(t))) == anf_of(3, *terms)
-
-    def test_dense_arity_capped(self):
-        with pytest.raises(ValueError):
-            TruthTable(25, 0)
-
-
 monomials = st.integers(min_value=0, max_value=255)
 anfs8 = st.frozensets(monomials, max_size=12).map(lambda ts: Anf(8, ts))
 
@@ -209,15 +148,6 @@ def anf_pairs(draw):
 
 
 class TestProperties:
-    @given(st.integers(min_value=1, max_value=12), st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_round_trip(self, arity, data):
-        masks = data.draw(st.frozensets(
-            st.integers(min_value=0, max_value=(1 << arity) - 1), max_size=16))
-        a = Anf(arity, masks)
-        table = naive_anf_table(arity, [vars_of(m) for m in a.terms])
-        assert Anf.from_truth_table(TruthTable(arity, table_int(table))) == a
-
     @given(anfs8, anfs8, anfs8)
     @settings(max_examples=40, deadline=None)
     def test_ring_laws(self, a, b, c):

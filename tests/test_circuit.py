@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xagsynth import AND, NOT, XOR, Anf, Circuit, CircuitBuilder, export_bristol
+from xagsynth import (AND, BASELINE, NOT, OPTIMAL, XOR, Circuit, CircuitBuilder, export_bristol,
+                      reference_anf, synthesize)
+from xagsynth.verify import gate_anfs
 
-from oracles import (all_inputs, mono, naive_eval, naive_reachable, retap, table_int,
-                     with_zero_outputs)
+from oracles import (all_inputs, naive_anf_table, naive_anf_value, naive_eval, naive_reachable,
+                     retap, table_int, vars_of, with_zero_outputs)
 
 
 def sigma3_builder():
@@ -16,6 +18,20 @@ def sigma3_builder():
     x1, x2, x3 = 0, 1, 2
     s = b.xor(b.and_(b.xor(x1, x2), b.xor(x2, x3)), x2)
     return b, s
+
+
+def every_branch_circuit():
+    """AND(a, a), XOR(a, a), a three-operand XOR, NOT, a dead gate and an
+    output that a later gate reads."""
+    b = CircuitBuilder(3)
+    x1, x2, x3 = 0, 1, 2
+    sq = b.and_(x1, x1)
+    zero = b.xor(x2, x2)
+    wide = b.xor(x1, x2, x3)
+    b.and_(wide, x3)  # dead
+    inv = b.not_(wide)
+    y = b.and_(inv, b.xor(sq, zero, x3))
+    return b.finish([("wide", wide), ("y", y), ("z", zero), ("t", b.xor(wide, y))])
 
 
 class TestBuilder:
@@ -85,13 +101,12 @@ class TestEval:
         b = CircuitBuilder(2)
         x1 = 0
         c = b.finish([("y", x1)])
-        assert c.eval_all()[0].bits == table_int([0, 1, 0, 1])
+        assert c.eval_all() == [table_int([0, 1, 0, 1])]
 
     def test_sigma3_table_matches_anf(self):
         b, s = sigma3_builder()
         c = b.finish([("s", s)])
-        expected = Anf(3, [mono(1, 2), mono(2, 3), mono(1, 3)])
-        assert Anf.from_truth_table(c.eval_all()[0]) == expected
+        assert c.eval_all() == [table_int(naive_anf_table(3, [(1, 2), (2, 3), (1, 3)]))]
 
     def test_eval_all_arity_cap(self):
         b = CircuitBuilder(25)
@@ -110,20 +125,11 @@ class TestEval:
         sq = b.and_(a, a)
         c = b.finish([("a", a), ("y", b.xor(sq, x2)), ("n", b.not_(a))])
         expected = [[0, 0, 0, 1], [0, 0, 1, 0], [1, 1, 1, 0]]
-        assert [t.bits for t in c.eval_all()] == [table_int(t) for t in expected]
+        assert c.eval_all() == [table_int(t) for t in expected]
 
     def test_forward_pass_matches_gate_by_gate_oracle(self):
-        # every branch of the pass: AND(a, a), XOR(a, a), a three-operand
-        # XOR, NOT, a dead gate and an output that a later gate reads
-        b = CircuitBuilder(3)
-        x1, x2, x3 = 0, 1, 2
-        sq = b.and_(x1, x1)
-        zero = b.xor(x2, x2)
-        wide = b.xor(x1, x2, x3)
-        b.and_(wide, x3)  # dead
-        inv = b.not_(wide)
-        y = b.and_(inv, b.xor(sq, zero, x3))
-        c = b.finish([("wide", wide), ("y", y), ("z", zero), ("t", b.xor(wide, y))])
+        # every branch of the pass
+        c = every_branch_circuit()
         width = 1 << 3
         columns = [sum(((x >> j) & 1) << x for x in range(width)) for j in range(3)]
         got = c.output_columns(columns, width)
@@ -345,7 +351,7 @@ class TestEvalAgreement:
             point = sum(b << j for j, b in enumerate(bits))
             got = c.output_columns(bits, 1)
             for k, t in enumerate(tables):
-                assert got[k] == (t.bits >> point) & 1
+                assert got[k] == (t >> point) & 1
 
     @given(random_circuits())
     @settings(max_examples=40, deadline=None)
@@ -368,7 +374,7 @@ class TestEvalAgreement:
                 x = mapping[gate[1]]
                 mapping[gid] = b.xor(b.not_(b.xor(x, x)), x)
         c2 = b.finish([(lbl, mapping[g]) for lbl, g in c.outputs])
-        assert [t.bits for t in c2.eval_all()] == [t.bits for t in c.eval_all()]
+        assert c2.eval_all() == c.eval_all()
         assert c2.and_count() == c.and_count()
 
     @given(random_circuits())
@@ -390,7 +396,7 @@ class TestEvalAgreement:
         c2 = b.finish([(lbl, mapping[g]) for lbl, g in c.outputs])
         assert c2.gates[:len(c.gates)] == c.gates
         assert len(c2.gates) == 2 * len(c.gates) - c.arity
-        assert [t.bits for t in c2.eval_all()] == [t.bits for t in c.eval_all()]
+        assert c2.eval_all() == c.eval_all()
         assert c2.and_count() == c.and_count()
 
     @given(random_circuits())
@@ -409,3 +415,30 @@ class TestEvalAgreement:
         assert ngates == len(body) and nwires == c.arity + ngates
         assert [int(line.split()[-2]) for line in body] == \
             list(range(c.arity, c.arity + ngates))
+
+
+def assert_gate_anfs_match_naive_eval(c):
+    # every gate's polynomial, evaluated term by term at every point,
+    # against the gate-by-gate oracle with every gate tapped as an output
+    anfs = [[vars_of(m) for m in a.terms] for a in gate_anfs(c)]
+    taps = [(str(gid), gid) for gid in range(len(c.gates))]
+    for bits in all_inputs(c.arity):
+        assert [naive_anf_value(a, bits) for a in anfs] == naive_eval(c.gates, taps, bits)
+
+
+class TestGateAnfs:
+    def test_every_branch_matches_gate_by_gate_oracle(self):
+        assert_gate_anfs_match_naive_eval(every_branch_circuit())
+
+    @given(random_circuits())
+    @settings(max_examples=40, deadline=None)
+    def test_random_circuits_match_gate_by_gate_oracle(self, c):
+        assert_gate_anfs_match_naive_eval(c)
+
+    @pytest.mark.parametrize("construction", [OPTIMAL, BASELINE])
+    def test_outputs_are_single_monomials(self, construction):
+        for n in range(3, 9):
+            c = synthesize(n, construction)
+            anfs = gate_anfs(c)
+            assert [anfs[gid] for _, gid in c.outputs] == \
+                [reference_anf(n, i) for i in range(1, n + 1)], n

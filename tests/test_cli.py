@@ -10,11 +10,9 @@ import tracemalloc
 import pytest
 
 import xagsynth
-import xagsynth.verify
 from xagsynth import (
     BASELINE,
     OPTIMAL,
-    Anf,
     Circuit,
     check_exhaustive,
     export_bristol,
@@ -24,6 +22,8 @@ from xagsynth import (
     synthesize,
 )
 from xagsynth.cli import cli, write_text_atomic
+
+from oracles import patch_optimal, stage2_at_one_and
 
 
 class TestSynthCommand:
@@ -134,13 +134,20 @@ class TestLemmasCommand:
             "84a8a28b1d42b860e0e7a706f7ee9cba3697cdb1525d6bf9282e7ba7d7c7e5c8"
 
     def test_failing_check_exits_one_with_its_detail(self, monkeypatch, capsys):
-        # sigma_3 replaced by x1: (x1 + x2) * x1 = x1 + x1x2 is not two
-        # degree-2 monomials, so the pair-product check fails
-        monkeypatch.setattr(xagsynth.verify, "sigma_anf", lambda n: Anf.linear(n, [1]))
+        # the stage-2 ids name a dead AND(x1, x2): the outputs stay right,
+        # but the pair-product check reads the nodes the plan names
+        patch_optimal(monkeypatch, stage2_at_one_and)
         assert cli(["lemmas", "--max-n", "3"]) == 1
         captured = capsys.readouterr()
         assert "FAILURES present" in captured.err
-        assert "pair-product-two-monomials n=3: FAIL  (i=1: got x1 + x1x2)" in captured.out
+        assert "pair-product-two-monomials n=3: FAIL  (i=1: got x1x2)" in captured.out.splitlines()
+
+    def test_wrong_sigma_detail_names_the_polynomial(self, monkeypatch, capsys):
+        # gate 0 (x1) named as sigma_3: the AND count is right, the node is not
+        patch_optimal(monkeypatch, lambda builder, sigma, stage2, outputs: (0, stage2, outputs))
+        assert cli(["lemmas", "--max-n", "3"]) == 1
+        assert "stage1-sigma n=3: FAIL  (got x1; and_gates=1 expected=1)" in \
+            capsys.readouterr().out.splitlines()
 
     def test_bad_range(self):
         assert cli(["lemmas", "--max-n", "99"]) == 2

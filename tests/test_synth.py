@@ -7,20 +7,19 @@ from xagsynth import (
     BASELINE,
     OPTIMAL,
     Anf,
-    Circuit,
     degree_lower_bound,
     reference_anf,
     sigma_anf,
     synthesize,
     synthesize_plan,
 )
+from xagsynth.verify import gate_anfs
 
 from oracles import all_inputs, leave_one_out_reference, mono, naive_anf_terms, vars_of
 
 
 def anf_of_node(plan, gid):
-    circuit = Circuit(plan.n, plan.circuit.gates, (("t", gid),))
-    return Anf.from_truth_table(circuit.eval_all()[0])
+    return gate_anfs(plan.circuit)[gid]
 
 
 class TestSigma:
@@ -118,10 +117,9 @@ class TestSynthesize:
     def test_n3_optimal_outputs(self):
         c = synthesize(3, OPTIMAL)
         assert c.and_count() == 3
-        tables = c.eval_all()
-        assert Anf.from_truth_table(tables[0]) == Anf(3, [mono(2, 3)])
-        assert Anf.from_truth_table(tables[1]) == Anf(3, [mono(1, 3)])
-        assert Anf.from_truth_table(tables[2]) == Anf(3, [mono(1, 2)])
+        anfs = gate_anfs(c)
+        assert [anfs[gid] for _, gid in c.outputs] == \
+            [Anf(3, [mono(2, 3)]), Anf(3, [mono(1, 3)]), Anf(3, [mono(1, 2)])]
 
     def test_output_labels_in_index_order(self):
         c = synthesize(6)
