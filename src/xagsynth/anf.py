@@ -51,6 +51,13 @@ class Anf:
         self.arity = arity
         self.terms = terms
 
+    @classmethod
+    def _of(cls, arity: int, terms: frozenset[int]) -> "Anf":
+        """An Anf of terms already known valid for ``arity``, unchecked."""
+        a = cls.__new__(cls)
+        a.arity, a.terms = arity, terms
+        return a
+
     def __eq__(self, other):
         if not isinstance(other, Anf):
             return NotImplemented
@@ -82,16 +89,20 @@ class Anf:
     def __add__(self, other: "Anf") -> "Anf":
         """GF(2) addition: symmetric difference of term sets."""
         self._check_arity(other)
-        return Anf(self.arity, self.terms ^ other.terms)
+        return Anf._of(self.arity, self.terms ^ other.terms)
 
     def __mul__(self, other: "Anf") -> "Anf":
         """GF(2) product; identical cross terms cancel in pairs."""
         self._check_arity(other)
-        acc: set[int] = set()
+        acc: set[int] = set()  # the cross terms met an odd number of times
         for a in self.terms:
             for b in other.terms:
-                acc ^= {a | b}
-        return Anf(self.arity, acc)
+                m = a | b
+                if m in acc:
+                    acc.remove(m)
+                else:
+                    acc.add(m)
+        return Anf._of(self.arity, frozenset(acc))
 
     def degree(self) -> int:
         """Largest monomial degree; 0 for the zero polynomial."""

@@ -8,13 +8,14 @@ gates take two or more operands, and only the Bristol writer in
 :mod:`xagsynth.io_formats` lowers them to binary chains; NOT is x XOR 1 and
 never counts toward the AND total.
 
-Layout: every gate is ``(kind, *operand ids)``. A circuit of arity n starts
-with its n inputs, each the operand-free ``(INPUT,)``, so input x_v is known
-only by its position: it is gate v - 1, as in Bristol Fashion where inputs
-are wires 0..n-1. Every later gate has kind AND, XOR or NOT.
-:meth:`Circuit.validate` enforces this, and every walk over the gates relies
-on it: evaluation and export seed the first n gates from the inputs, and a
-walk along edges reads ``gate[1:]`` as operands without asking for the kind.
+Layout: gates sit in packed arrays, not one tuple per gate. Gate g has a
+kind byte (0 input, 4 two-operand XOR, 8 AND, 16 NOT, 32 XOR of three or
+more operands) and two signed 4-byte operand slots, 0 where unused; a wider
+XOR's operands sit in a small dict by gate id. A circuit of arity n starts
+with its n inputs, so input x_v is gate v - 1, as in Bristol Fashion where
+inputs are wires 0..n-1; every later gate has kind AND, XOR or NOT.
+:attr:`Circuit.gates` builds ``(kind, *operand ids)`` tuples on request; no
+library walk reads it.
 
 The builder shares nothing behind the caller's back and performs no
 algebraic rewriting: what you build is what you get, and correctness is
@@ -28,9 +29,11 @@ gate list.
 from __future__ import annotations
 
 import sys
-from itertools import compress, islice
-from operator import countOf, itemgetter
-from typing import Iterable, Sequence
+from array import array
+from functools import reduce
+from itertools import compress, count, islice
+from operator import countOf, xor
+from typing import Iterable, Iterator, Sequence
 
 from .bitops import full_mask, variable_column
 
@@ -43,6 +46,9 @@ NOT = "NOT"
 
 # Operand counts allowed for each kind that may follow the inputs.
 _OPERAND_COUNTS = {AND: range(2, 3), XOR: range(2, sys.maxsize), NOT: range(1, 2)}
+_CODES = {XOR: 4, AND: 8, NOT: 16}  # kind byte; an XOR of three or more operands is 32
+_KINDS = {0: INPUT, 4: XOR, 8: AND, 16: NOT, 32: XOR}
+_ID_LIMIT = (1 << 31) - 1  # largest gate id an operand slot holds
 
 
 class CircuitBuilder:
@@ -57,79 +63,120 @@ class CircuitBuilder:
     def __init__(self, arity: int):
         if arity < 1:
             raise ValueError("arity must be at least 1")
+        if arity > _ID_LIMIT:
+            raise ValueError(f"arity {arity}: gate ids past {_ID_LIMIT} do not fit 4 bytes")
         self.arity = arity
-        self._gates: list[tuple] = [(INPUT,)] * arity
+        self._kinds = bytearray(arity)
+        self._first, self._second = array("i", [0]) * arity, array("i", [0]) * arity
+        self._wide: dict[int, array] = {}
         self.and_gates_created = 0
 
     def _check_operand(self, gid: int) -> None:
-        if not 0 <= gid < len(self._gates):
+        if not 0 <= gid < len(self._kinds):
             raise ValueError(f"unknown gate id {gid}")
 
     def and_(self, a: int, b: int) -> int:
-        gates = self._gates
-        gid = len(gates)
+        gid = len(self._kinds)
         if not (0 <= a < gid and 0 <= b < gid):
             raise ValueError(f"unknown gate id {b if 0 <= a < gid else a}")
-        gates.append((AND, a, b))
+        self._kinds.append(8)
+        self._first.append(a)
+        self._second.append(b)
         self.and_gates_created += 1
         return gid
 
     def xor(self, *operands: int) -> int:
         if len(operands) < 2:
             raise ValueError("XOR needs at least 2 operands")
-        gates = self._gates
-        gid = len(gates)
+        gid = len(self._kinds)
         for o in operands:
             if not 0 <= o < gid:
                 raise ValueError(f"unknown gate id {o}")
-        gates.append((XOR, *operands))
+        if len(operands) > 2:
+            self._wide[gid] = array("i", operands)
+        a, b = operands if len(operands) == 2 else (0, 0)
+        self._kinds.append(4 if len(operands) == 2 else 32)
+        self._first.append(a)
+        self._second.append(b)
         return gid
 
     def not_(self, a: int) -> int:
         self._check_operand(a)
-        gid = len(self._gates)
-        self._gates.append((NOT, a))
+        gid = len(self._kinds)
+        self._kinds.append(16)
+        self._first.append(a)
+        self._second.append(0)
         return gid
 
     def finish(self, outputs: Sequence[tuple[str, int]]) -> "Circuit":
+        """A Circuit of copies of the arrays, so later gates stay the builder's."""
         for _, gid in outputs:
             self._check_operand(gid)
-        return Circuit(self.arity, tuple(self._gates), tuple(outputs))
+        return Circuit(self.arity, (), tuple(outputs), _arrays=(
+            bytes(self._kinds), self._first[:], self._second[:], dict(self._wide)))
+
+
+def _pack(n: int, gates: Iterable[tuple]) -> tuple[bytearray, array, array, dict[int, array]]:
+    """(kinds, first operands, second operands, wider XORs) of ``(kind, *operand
+    ids)`` tuples. A gate the layout cannot hold is refused with the message
+    :meth:`Circuit.validate` gives for it; operand order is left to validate."""
+    kinds, first, second, wide = bytearray(), array("i"), array("i"), {}
+    for gid, (kind, *ops) in enumerate(gates):
+        if gid < n and (kind != INPUT or ops):
+            raise ValueError(f"gates 0..{n - 1} must be the inputs x1..x{n}")
+        if gid >= n and kind not in _OPERAND_COUNTS:
+            raise ValueError(f"gate {gid}: kind {kind!r} cannot follow the {n} inputs")
+        if gid >= n and len(ops) not in _OPERAND_COUNTS[kind]:
+            raise ValueError(f"gate {gid}: wrong operand count {len(ops)} for {kind}")
+        if max(map(abs, ops), default=0) > _ID_LIMIT:  # an array would raise OverflowError
+            raise ValueError(f"gate {gid}: operand ids past {_ID_LIMIT} do not fit 4 bytes")
+        if len(ops) > 2:
+            wide[gid], ops = array("i", ops), []
+        kinds.append(32 if gid in wide else _CODES.get(kind, 0))
+        first.append((ops + [0])[0])
+        second.append((ops + [0, 0])[1])
+    return kinds, first, second, wide
 
 
 class Circuit:
     """Immutable gate DAG with labeled outputs; safe to share across threads."""
 
-    __slots__ = ("arity", "gates", "outputs", "_walk", "_last")
+    __slots__ = ("arity", "outputs", "_kinds", "_first", "_second", "_wide", "_walk", "_last")
 
-    def __init__(self, arity: int, gates: tuple[tuple, ...], outputs: tuple[tuple[str, int], ...]):
-        self.arity = arity
-        self.gates = gates
-        self.outputs = outputs
+    def __init__(self, arity: int, gates: Iterable[tuple], outputs: tuple[tuple[str, int], ...],
+                 *, _arrays: tuple | None = None):
+        """Pack ``(kind, *operand ids)`` tuples, or take ``_arrays`` already packed."""
+        self.arity, self.outputs = arity, outputs
+        self._kinds, self._first, self._second, self._wide = _arrays or _pack(arity, gates)
         self._walk: tuple[bytearray, int] | None = None  # filled by _structure() or _drop_plan()
         self._last: tuple[bytes, dict] | None = None  # filled by _drop_plan()
 
+    def __len__(self) -> int:  # the gate count, inputs included
+        return len(self._kinds)
+
+    def _rows(self) -> Iterator[tuple[str, Sequence[int]]]:
+        """(kind, operand ids) of every gate in id order, read off the arrays."""
+        for gid, k, a, b in zip(count(), self._kinds, self._first, self._second):
+            ops = (a, b) if k & 12 else self._wide[gid] if k == 32 else (a,) if k else ()
+            yield _KINDS[k], ops
+
+    @property
+    def gates(self) -> tuple[tuple, ...]:
+        """Every gate as ``(kind, *operand ids)``, built anew on each call."""
+        return tuple((kind, *ops) for kind, ops in self._rows())
+
     def validate(self) -> None:
         """Check structural invariants; used on import and in tests."""
-        n, gates = self.arity, self.gates
-        if len(gates) < n or gates[:n].count((INPUT,)) != n:
+        n, kinds, wide = self.arity, self._kinds, self._wide
+        if len(kinds) < n:
             raise ValueError(f"gates 0..{n - 1} must be the inputs x1..x{n}")
-        for gid, gate in enumerate(gates[n:], n):
-            if len(gate) == 3:  # AND or two-operand XOR over earlier gates: most gates
-                kind, a, b = gate
-                if (kind == AND or kind == XOR) and 0 <= a < gid and 0 <= b < gid:
-                    continue
-            kind, ops = gate[0], gate[1:]
-            counts = _OPERAND_COUNTS.get(kind)
-            if counts is None:
-                raise ValueError(f"gate {gid}: kind {kind!r} cannot follow the {n} inputs")
-            if len(ops) not in counts:
-                raise ValueError(f"gate {gid}: wrong operand count {len(ops)} for {kind}")
-            for o in ops:
-                if not 0 <= o < gid:
-                    raise ValueError(f"gate {gid}: operand {o} not before gate")
+        for gid, a, b in zip(range(n, len(kinds)), self._first[n:], self._second[n:]):
+            if not (0 <= a < gid and 0 <= b < gid) or gid in wide:  # a wider XOR's slots hold 0
+                for o in wide.get(gid, (a, b)):
+                    if not 0 <= o < gid:
+                        raise ValueError(f"gate {gid}: operand {o} not before gate")
         for label, gid in self.outputs:
-            if not 0 <= gid < len(gates):
+            if not 0 <= gid < len(kinds):
                 raise ValueError(f"output {label!r} references unknown gate {gid}")
 
     # -- structure ---------------------------------------------------------
@@ -138,22 +185,25 @@ class Circuit:
         """(reachable flags, reachable ANDs), walked once and cached; the
         first evaluation fills it too, from its plan walk."""
         if self._walk is None:
-            gates = self.gates
-            mark = bytearray(len(gates))
+            kinds, mark = self._kinds, bytearray(len(self._kinds))
             for _, gid in self.outputs:
                 mark[gid] = 1
+            gates = zip(count(len(kinds) - 1, -1), reversed(kinds), reversed(self._first),
+                        reversed(self._second))
             # reversed(mark) reads each flag after the gate's readers (higher ids) ran
-            for gate in compress(reversed(gates), reversed(mark)):
-                if len(gate) == 3:  # AND or two-operand XOR: most gates
-                    mark[gate[1]] = mark[gate[2]] = 1
-                else:
-                    for o in gate[1:]:
+            for gid, k, a, b in compress(islice(gates, len(kinds) - self.arity), reversed(mark)):
+                if k == 32:
+                    for o in self._wide[gid]:
                         mark[o] = 1
+                else:  # a NOT's second slot holds 0, not an operand
+                    mark[a] = 1
+                    if k != 16:
+                        mark[b] = 1
             self._cache_structure(mark)
         return self._walk
 
     def _cache_structure(self, mark: bytearray) -> None:
-        self._walk = (mark, countOf(map(itemgetter(0), compress(self.gates, mark)), AND))
+        self._walk = (mark, countOf(compress(self._kinds, mark), 8))
 
     def reachable(self) -> bytearray:
         """Flag per gate: reachable from some output (a fresh copy per call)."""
@@ -167,42 +217,35 @@ class Circuit:
 
     def _drop_plan(self) -> tuple[bytes, dict[int, list[int]]]:
         """Per non-input gate a flag byte, built on first evaluation and cached:
-        0 for a dead gate, else its kind (4 two-operand XOR, 8 AND, 16 NOT, 32
-        wider XOR) plus 1 to drop its first operand's column after it and 2 its
-        second's; a wider XOR lists the operands it drops in the dict. Walking
-        backward, the first reader met is the last, and a gate still unread
-        when met is dead and reads nothing; outputs start out read. The final
-        read flags are the reachable flags, so they fill _structure's cache."""
+        0 for a dead gate, else its kind byte plus 1 to drop its first
+        operand's column after it and 2 its second's; a wider XOR lists the
+        operands it drops in the dict. Walking backward, the first reader met
+        is the last, and a gate still unread when met is dead and reads
+        nothing; outputs start out read. The final read flags fill _walk."""
         if self._last is None:
-            n, gates = self.arity, self.gates
-            read = bytearray(len(gates))  # 1 once an output or a later live gate reads it
+            kinds, n = self._kinds, self.arity
+            read = bytearray(len(kinds))  # 1 once an output or a later live gate reads it
             for _, gid in self.outputs:
                 read[gid] = 1
-            drops = bytearray()  # last gate first
-            push, wide = drops.append, {}
-            # reversed(read) reads each flag after the gate's readers (higher ids) ran
-            for gate, live in zip(islice(reversed(gates), len(gates) - n), reversed(read)):
-                if not live:
-                    push(0)
-                elif len(gate) == 3:  # AND or two-operand XOR: most gates
-                    kind, a, b = gate
-                    f = 8 if kind == AND else 4
+            drops, wide = bytearray(len(kinds) - n), {}  # 0 for each dead gate
+            gates = zip(count(len(kinds) - 1, -1), reversed(kinds), reversed(self._first),
+                        reversed(self._second))
+            for gid, k, a, b in compress(islice(gates, len(kinds) - n), reversed(read)):
+                if k & 12:  # AND or two-operand XOR: most gates
                     if not read[a]:
-                        f |= 1
+                        k |= 1
                         read[a] = 1
                     if not read[b]:
-                        f |= 2
+                        k |= 2
                         read[b] = 1
-                    push(f)
-                elif len(gate) == 2:  # NOT
-                    push(16 if read[gate[1]] else 17)
-                    read[gate[1]] = 1
+                elif k == 16:  # NOT
+                    k |= not read[a]
+                    read[a] = 1
                 else:  # a repeated operand is listed, and dropped, twice
-                    ops = wide[len(gates) - 1 - len(drops)] = [o for o in gate[1:] if not read[o]]
+                    ops = wide[gid] = [o for o in self._wide[gid] if not read[o]]
                     for o in ops:
                         read[o] = 1
-                    push(32)
-            drops.reverse()
+                drops[gid - n] = k
             self._last = (bytes(drops), wide)
             if self._walk is None:
                 self._cache_structure(read)
@@ -217,25 +260,20 @@ class Circuit:
         columns and drops each, an input's too, after its last reader, so
         only the live set is held at once.
         """
-        n, gates = self.arity, self.gates
+        n = self.arity
         cols: list[int | None] = list(input_columns)
         if len(cols) != n:
             raise ValueError(f"expected {n} input columns, got {len(cols)}")
         ones = full_mask(width)
         flags, wide = self._drop_plan()
         append = cols.append
-        for gate, f in zip(islice(gates, n, None), flags):
+        for f, a, b in zip(flags, islice(self._first, n, None), islice(self._second, n, None)):
             if f & 12:  # AND or two-operand XOR: most gates
-                _, a, b = gate
                 v = cols[a] & cols[b] if f & 8 else cols[a] ^ cols[b]
             elif f & 16:  # NOT
-                a = gate[1]
                 v = cols[a] ^ ones
             elif f:  # XOR of three or more operands
-                ops = gate[1:]
-                v = cols[ops[0]]
-                for o in ops[1:]:
-                    v ^= cols[o]
+                v = reduce(xor, [cols[o] for o in self._wide[len(cols)]])
                 for o in wide[len(cols)]:
                     cols[o] = None
             else:  # dead

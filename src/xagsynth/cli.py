@@ -162,7 +162,7 @@ def _cmd_stats(args) -> int:
         print(f"error: optimal and_count {opt_count} is below a degree lower bound",
               file=sys.stderr)
         return EXIT_VERIFY_FAILED
-    print(f"gates: optimal={len(optimal.gates)} baseline={len(baseline.gates)}")
+    print(f"gates: optimal={len(optimal)} baseline={len(baseline)}")
     return EXIT_OK
 
 

@@ -23,15 +23,14 @@ import io
 from array import array
 import json
 import re
-from itertools import chain, compress, islice
+from itertools import chain, compress, count, islice
 from operator import countOf, itemgetter
 from typing import Iterable, Iterator, TextIO
 
-from .circuit import AND, INPUT, NOT, XOR, Circuit
+from .circuit import _KINDS, INPUT, Circuit
 
 # Largest declared input count import_bristol accepts: each declared input
-# becomes one slot of the gate list, all holding the one shared (INPUT,),
-# before any gate line is read.
+# takes its slots in the gate arrays before any gate line is read.
 MAX_BRISTOL_INPUTS = 1 << 20
 
 _CHUNK = 4096  # items joined per write by the streaming writers
@@ -61,23 +60,23 @@ def _write_joined(fh: TextIO, items: Iterable[str], sep: str, lead: str = "") ->
 
 def _bristol_lines(circuit: Circuit, live: bytearray) -> Iterator[str]:
     """The gate lines of the lowering, over the gates flagged in ``live``."""
-    n, gates = circuit.arity, circuit.gates
+    n, kinds, wide = circuit.arity, circuit._kinds, circuit._wide
     # gate id -> wire, input x_v is wire v - 1; an array holds no int objects
-    wire_of = array("q", range(n)) + array("q", [-1]) * (len(gates) - n)
+    wire_of = array("q", range(n)) + array("q", [-1]) * (len(kinds) - n)
     zero = n  # defined by line 0; read by the output copies
     yield f"2 1 0 0 {zero} XOR"
     w = n + 1  # the wire the next line writes
-    for gid, gate in compress(enumerate(gates), live):
-        kind, a = gate[0], wire_of[gate[1]]
-        if kind == AND:
-            yield f"2 1 {a} {wire_of[gate[2]]} {w} AND"
-        elif kind == NOT:
-            yield f"1 1 {a} {w} INV"
-        else:  # XOR, lowered left-associated
-            for o in gate[2:-1]:
-                yield f"2 1 {a} {wire_of[o]} {w} XOR"
+    for gid, k, a, b in compress(zip(count(), kinds, circuit._first, circuit._second), live):
+        if k & 12:  # AND or two-operand XOR: most gates
+            yield f"2 1 {wire_of[a]} {wire_of[b]} {w} {_KINDS[k]}"
+        elif k == 16:
+            yield f"1 1 {wire_of[a]} {w} INV"
+        else:  # XOR of three or more operands, lowered left-associated
+            a, *ops = (wire_of[o] for o in wide[gid])
+            for o in ops[:-1]:
+                yield f"2 1 {a} {o} {w} XOR"
                 a, w = w, w + 1
-            yield f"2 1 {a} {wire_of[gate[-1]]} {w} XOR"
+            yield f"2 1 {a} {ops[-1]} {w} XOR"
         wire_of[gid] = w
         w += 1
     for _, gid in circuit.outputs:
@@ -90,13 +89,12 @@ def write_bristol(circuit: Circuit, fh: TextIO) -> None:
     counted from the reachable flags before the body streams."""
     if not circuit.outputs:
         raise ValueError("cannot export a circuit with no outputs")
-    n, gates, outs = circuit.arity, circuit.gates, len(circuit.outputs)
+    n, outs = circuit.arity, len(circuit.outputs)
     live = circuit.reachable()
     live[:n] = bytes(n)  # the inputs are wires, not lines
-    # zero wire + one line per AND/NOT + (operands - 1) per XOR + output copies
-    count = (1 + sum(map(len, compress(gates, live))) - 2 * sum(live)
-             + countOf(map(itemgetter(0), compress(gates, live)), NOT) + outs)
-    fh.write(f"{count} {n + count}\n1 {n}\n{outs} {' '.join(['1'] * outs)}\n\n")
+    # zero wire + one line per live gate and (operands - 2) more per wider XOR + output copies
+    lines = 1 + sum(live) + outs + sum(len(o) - 2 for g, o in circuit._wide.items() if live[g])
+    fh.write(f"{lines} {n + lines}\n1 {n}\n{outs} {' '.join(['1'] * outs)}\n\n")
     _write_joined(fh, _bristol_lines(circuit, live), "\n")
     fh.write("\n")
 
@@ -117,9 +115,9 @@ def _ints(tokens: list[str], line_no: int) -> list[int]:
     return values
 
 
-# Bristol op -> (gate kind, input wire count)
-_OPS = {"AND": (AND, 2), "XOR": (XOR, 2), "INV": (NOT, 1)}
-_TWO_OPERAND = {("2", "1", "AND"): AND, ("2", "1", "XOR"): XOR}  # keyed by #in, #out, op
+# Bristol op -> (kind byte, input wire count)
+_OPS = {"AND": (8, 2), "XOR": (4, 2), "INV": (16, 1)}
+_TWO_OPERAND = {("2", "1", "AND"): 8, ("2", "1", "XOR"): 4}  # keyed by #in, #out, op
 
 
 def import_bristol(text: str) -> Circuit:
@@ -162,7 +160,8 @@ def import_bristol(text: str) -> Circuit:
     if nwires < n_inputs + n_output_wires:
         raise BristolFormatError("wire count smaller than declared inputs plus outputs")
 
-    gates = [(INPUT,)] * n_inputs
+    kinds = bytearray(n_inputs)  # the packed layout of xagsynth.circuit
+    first, second = array("i", [0]) * n_inputs, array("i", [0]) * n_inputs
     gate_of: dict[int, int] = {}  # non-input wire -> gate id; input wire w is gate w
 
     for no, line in nonempty:
@@ -171,10 +170,10 @@ def import_bristol(text: str) -> Circuit:
             nin, nout, a, b, out_wire, op = tokens
             kind = _TWO_OPERAND[nin, nout, op]
             a, b, out_wire = int(a), int(b), int(out_wire)
-            gate = (kind, a if a < n_inputs else gate_of[a], b if b < n_inputs else gate_of[b])
+            a, b = a if a < n_inputs else gate_of[a], b if b < n_inputs else gate_of[b]
         except (ValueError, KeyError):
-            gate = None
-        if gate is None:  # any other line, or one with an error to name
+            kind = None
+        if kind is None:  # any other line, or one with an error to name
             if len(tokens) < 4:
                 raise BristolFormatError(f"line {no}: truncated gate line")
             op = tokens[-1]
@@ -196,20 +195,22 @@ def import_bristol(text: str) -> Circuit:
             if -1 in ops:
                 w = in_wires[ops.index(-1)]
                 raise BristolFormatError(f"line {no}: wire {w} used before definition")
-            gate = (kind, *ops)
+            a, b = (*ops, 0)[:2]
         if not 0 <= out_wire < nwires:
             raise BristolFormatError(f"line {no}: output wire {out_wire} out of range")
         if out_wire < n_inputs or out_wire in gate_of:
             raise BristolFormatError(f"line {no}: wire {out_wire} defined twice")
-        gate_of[out_wire] = len(gates)
-        gates.append(gate)
+        gate_of[out_wire] = len(kinds)
+        kinds.append(kind)
+        first.append(a)
+        second.append(b)
 
     outputs = []
     for k, w in enumerate(range(nwires - n_output_wires, nwires), start=1):
         if w not in gate_of:
             raise BristolFormatError(f"output wire {w} is never driven")
         outputs.append((f"o{k}", gate_of[w]))
-    circuit = Circuit(n_inputs, tuple(gates), tuple(outputs))
+    circuit = Circuit(n_inputs, (), tuple(outputs), _arrays=(kinds, first, second, {}))
     circuit.validate()
     return circuit
 
@@ -223,8 +224,7 @@ def write_dot(circuit: Circuit, fh: TextIO) -> None:
         labels_by_gid.setdefault(gid, []).append(label)
 
     def nodes() -> Iterator[str]:
-        for gid, gate in enumerate(circuit.gates):
-            kind = gate[0]
+        for gid, (kind, _) in enumerate(circuit._rows()):
             label = f"x{gid + 1}" if kind == INPUT else kind  # AND, XOR or NOT
             if gid in labels_by_gid:
                 label += " (" + ", ".join(labels_by_gid[gid]) + ")"
@@ -232,8 +232,7 @@ def write_dot(circuit: Circuit, fh: TextIO) -> None:
             yield f'  g{gid} [label="{label}"{shape}];'
 
     edges = (f"  g{o} -> g{gid};"
-             for gid, gate in islice(enumerate(circuit.gates), circuit.arity, None)
-             for o in gate[1:])
+             for gid, (_, ops) in enumerate(circuit._rows()) for o in ops)
     _write_joined(fh, chain(["digraph circuit {", "  rankdir=LR;"], nodes(), edges, ["}"]), "\n")
     fh.write("\n")
 
@@ -246,17 +245,18 @@ def write_json(circuit: Circuit, fh: TextIO, construction: str | None = None) ->
     """The circuit as the JSON document that ``json.dumps`` with ``indent=2``
     writes, byte for byte, built without json's pure-Python indent encoder;
     only the free-text values pass through ``json.dumps``."""
-    n, gates, sep = circuit.arity, circuit.gates, ",\n        "
+    n, wide, sep = circuit.arity, circuit._wide, ",\n        "
     fh.write(f'{{\n  "arity": {n},\n  "construction": {json.dumps(construction)},\n'
              f'  "and_count": {circuit.and_count()},\n  "gates": [')
     inputs = (f'    {{\n      "id": {gid},\n      "kind": "INPUT",\n      "var": {gid + 1}\n    }}'
               for gid in range(n))
     # two-operand gates, most gates, format both operands in place
-    others = (f'    {{\n      "id": {gid},\n      "kind": "{gate[0]}",\n      "operands": [\n'
-              f'        {gate[1]},\n        {gate[2]}\n      ]\n    }}' if len(gate) == 3 else
-              f'    {{\n      "id": {gid},\n      "kind": "{gate[0]}",\n      "operands": [\n'
-              f'        {sep.join(map(str, gate[1:]))}\n      ]\n    }}'
-              for gid, gate in islice(enumerate(gates), n, None))
+    others = (f'    {{\n      "id": {gid},\n      "kind": "{_KINDS[k]}",\n      "operands": [\n'
+              f'        {a},\n        {b}\n      ]\n    }}' if k & 12 else
+              f'    {{\n      "id": {gid},\n      "kind": "{_KINDS[k]}",\n      "operands": [\n'
+              f'        {sep.join(map(str, wide[gid] if k == 32 else [a]))}\n      ]\n    }}'
+              for gid, k, a, b in islice(zip(count(), circuit._kinds, circuit._first,
+                                             circuit._second), n, None))
     outputs = (f'    {{\n      "label": {json.dumps(label)},\n      "id": {gid}\n    }}'
                for label, gid in circuit.outputs)
     fh.write(("\n  ]" if _write_joined(fh, chain(inputs, others), ",\n", "\n") else "]")

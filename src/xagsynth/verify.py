@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from functools import cache
+from itertools import islice
 
 from .anf import Anf
 from .bitops import full_mask, iter_one_bits
@@ -251,7 +252,7 @@ def gate_anfs(circuit: Circuit) -> list[Anf]:
     """
     n = circuit.arity
     anfs = [Anf.linear(n, [v]) for v in range(1, n + 1)]
-    for kind, *ops in circuit.gates[n:]:
+    for kind, ops in islice(circuit._rows(), n, None):
         if kind == AND:
             anfs.append(anfs[ops[0]] * anfs[ops[1]])
         elif kind == XOR:

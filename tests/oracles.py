@@ -166,20 +166,20 @@ def outputs_at_sigma(builder, sigma, stage2, outputs):
 def json_dumps_circuit(circuit, construction=None):
     """The JSON circuit document as ``json.dumps(doc, indent=2)`` writes it:
     the byte oracle for ``export_json``."""
-    gates = []
-    for gid, gate in enumerate(circuit.gates):
+    gates, entries = circuit.gates, []  # the tuple view is built once
+    for gid, gate in enumerate(gates):
         entry = {"id": gid, "kind": gate[0]}
         if gate[0] == "INPUT":
             entry["var"] = gid + 1
         else:
             entry["operands"] = list(gate[1:])
-        gates.append(entry)
-    reach = naive_reachable(circuit.gates, circuit.outputs)
+        entries.append(entry)
+    reach = naive_reachable(gates, circuit.outputs)
     doc = {
         "arity": circuit.arity,
         "construction": construction,
-        "and_count": sum(1 for gid in reach if circuit.gates[gid][0] == "AND"),
-        "gates": gates,
+        "and_count": sum(1 for gid in reach if gates[gid][0] == "AND"),
+        "gates": entries,
         "outputs": [{"label": label, "id": gid} for label, gid in circuit.outputs],
     }
     return json.dumps(doc, indent=2) + "\n"

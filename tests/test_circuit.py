@@ -232,6 +232,50 @@ class TestEval:
         assert peak < 8 * (width // 8)  # a few live columns, not one per gate
 
 
+class TestLayout:
+    def test_every_branch_circuit_arrays(self):
+        # kind bytes 0 input, 4 two-operand XOR, 8 AND, 16 NOT, 32 wider XOR;
+        # a NOT's second slot and a wider XOR's slots hold 0
+        c = every_branch_circuit()
+        assert list(c._kinds) == [0, 0, 0, 8, 4, 32, 8, 16, 32, 8, 4]
+        assert list(c._first) == [0, 0, 0, 0, 1, 0, 5, 5, 0, 7, 5]
+        assert list(c._second) == [0, 0, 0, 0, 1, 0, 2, 0, 0, 8, 9]
+        assert {gid: list(ops) for gid, ops in c._wide.items()} == {5: [0, 1, 2], 8: [3, 4, 2]}
+        assert len(c) == len(c.gates) == 11
+
+    def test_packing_round_trips_the_gate_tuples(self):
+        for c in (every_branch_circuit(), synthesize(9), synthesize(8, BASELINE)):
+            again = Circuit(c.arity, c.gates, c.outputs)
+            assert again.gates == c.gates and again.outputs == c.outputs
+            assert (again._kinds, again._first, again._second, again._wide) == \
+                (c._kinds, c._first, c._second, c._wide)
+
+    def test_gates_view_is_built_per_call(self):
+        c = synthesize(5)
+        assert c.gates == c.gates and c.gates is not c.gates
+
+    @pytest.mark.parametrize("gate", [("AND", 0, 1 << 31), ("XOR", 0, -(1 << 40)),
+                                      ("XOR", 0, 1, 1 << 31), ("NOT", 1 << 63)])
+    def test_operand_past_four_bytes_refused(self, gate):
+        # an operand that does not fit the 4-byte slots is refused, never wrapped
+        with pytest.raises(ValueError, match=f"^gate 2: operand ids past {(1 << 31) - 1} "
+                                             "do not fit 4 bytes$"):
+            Circuit(2, (("INPUT",), ("INPUT",), gate), (("y", 2),))
+
+    def test_memory_per_gate(self):
+        # one kind byte and two 4-byte operands per gate, plus the outputs
+        # and the one n/2-operand XOR: about 31 B/gate, where a tuple per
+        # gate took about 110
+        tracemalloc.start()
+        try:
+            c = synthesize(20000)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        gates = len(c.gates)
+        assert held / gates < 48, held / gates
+
+
 class TestAndCount:
     def test_sigma3_has_one_and(self):
         b, s = sigma3_builder()

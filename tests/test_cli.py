@@ -100,6 +100,24 @@ class TestSynthCommand:
         assert len(walks) == 1
 
 
+def test_no_library_path_reads_the_gate_tuples(monkeypatch, tmp_path):
+    # Circuit.gates builds a tuple per gate on every call; every command and
+    # the Bristol-to-JSON conversion must run on the packed arrays alone
+    def refuse(self):
+        raise AssertionError("Circuit.gates was read")
+
+    monkeypatch.setattr(Circuit, "gates", property(refuse))
+    for fmt in ("bristol", "dot", "json"):
+        assert cli(["synth", "--n", "9", "--format", fmt, "--out", str(tmp_path / fmt)]) == 0
+    for argv in (["verify", "--n", "9", "--mode", "exhaustive"],
+                 ["verify", "--n", "9", "--mode", "sample", "--samples", "100"],
+                 ["stats", "--n", "9"], ["lemmas", "--max-n", "6"]):
+        assert cli(argv) == 0, argv
+    circuit = import_bristol((tmp_path / "bristol").read_text())
+    write_text_atomic(str(tmp_path / "c.json"), export_json(circuit))
+    assert json.loads((tmp_path / "c.json").read_text())["and_count"] == 15
+
+
 class TestVerifyCommand:
     def test_exhaustive_pass(self):
         assert cli(["verify", "--n", "10", "--construction", "optimal",
@@ -179,6 +197,16 @@ class TestStatsCommand:
         assert cli(["stats", "--n", "50"]) == 0
         assert "degree lower bound = 48" in capsys.readouterr().out
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("n,digest", [
+        (3, "97820e5900be4702dcdf8c05b24f1ca8a1c002bfc5991a08622d4c823732d3a8"),
+        (6, "e6e24c761e556438d0b8c3b548fdc6c209061e24872d0988e564f06494a0015b"),
+        (1001, "ea0f2e1f743e10f0680a4ce8e0509b50955ad788d2d16da7897804fbcb3a3e3c"),
+    ])
+    def test_stdout_bytes_pinned(self, capsys, n, digest):
+        # every line, the gate counts of both constructions included
+        assert cli(["stats", "--n", str(n)]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
     def test_missing_subcommand(self):
         assert cli([]) == 2
@@ -304,6 +332,17 @@ class TestStreamingMemory:
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB")
+def test_synth_peaks_near_the_packed_circuit(tmp_path):
+    # about 10 B of gate arrays per gate plus the outputs: writing the
+    # n = 50000 circuit's Bristol text peaks about 19 MiB over the imports,
+    # where tuple gates took about 44
+    import_only = _child_peak_mib(["-c", "import xagsynth.cli"])
+    peak = _child_peak_mib(["-m", "xagsynth.cli", "synth", "--n", "50000", "--format", "bristol",
+                            "--out", str(tmp_path / "c")])
+    assert peak - import_only <= 24, (peak, import_only)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB")
 class TestSampledMemory:
     # the structured points are evaluated in fixed-width blocks, so a
     # sampled check costs a margin over the circuit that grows with
@@ -348,6 +387,13 @@ class TestResourceErrors:
         assert rc == 2
         assert capsys.readouterr().err == "error: exhaustive check limited to arity 24\n"
         assert elapsed < 0.5 and peak < 8 << 20, (elapsed, peak)
+
+    @pytest.mark.parametrize("command", ["synth", "stats"])
+    def test_arity_past_the_gate_id_limit_is_usage_error(self, capsys, command):
+        # refused before the builder allocates its inputs
+        assert cli([command, "--n", str(1 << 31)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: arity {1 << 31}: gate ids past {(1 << 31) - 1} do not fit 4 bytes\n"
 
     def test_out_of_memory_is_usage_error(self, monkeypatch, capsys):
         def exhausted(*args):
