@@ -17,9 +17,10 @@ inputs are wires 0..n-1; every later gate has kind AND, XOR or NOT.
 :attr:`Circuit.gates` builds ``(kind, *operand ids)`` tuples on request; no
 library walk reads it.
 
-The builder shares nothing behind the caller's back and performs no
-algebraic rewriting: what you build is what you get, and correctness is
-checked by the independent oracles in :mod:`xagsynth.verify`.
+The builder appends a gate per ``and_``, ``xor`` or ``not_`` call and a run
+of a repeated AND/XOR pattern per ``run`` call, and performs no algebraic
+rewriting: what you build is what you get, and correctness is checked by
+the independent oracles in :mod:`xagsynth.verify`.
 
 Evaluation is bit-parallel: every wire is a wide Python int holding one bit
 per evaluation point, so a full 2^n-point truth table costs one pass over the
@@ -31,8 +32,8 @@ from __future__ import annotations
 import sys
 from array import array
 from functools import reduce
-from itertools import compress, count, islice
-from operator import countOf, xor
+from itertools import chain, compress, count, islice, product
+from operator import countOf, lt, xor
 from typing import Iterable, Iterator, Sequence
 
 from .bitops import full_mask, variable_column
@@ -56,8 +57,8 @@ class CircuitBuilder:
 
     A new builder holds the inputs: x_v is gate v - 1. Each of
     :meth:`and_`, :meth:`xor` and :meth:`not_` appends one gate and returns
-    its id, the next dense id; a construction that wants a node reused
-    keeps its id and passes it again.
+    its id, the next dense id, and :meth:`run` a repeated pattern of them; a
+    construction that wants a node reused keeps its id and passes it again.
     """
 
     def __init__(self, arity: int):
@@ -70,10 +71,6 @@ class CircuitBuilder:
         self._first, self._second = array("i", [0]) * arity, array("i", [0]) * arity
         self._wide: dict[int, array] = {}
         self.and_gates_created = 0
-
-    def _check_operand(self, gid: int) -> None:
-        if not 0 <= gid < len(self._kinds):
-            raise ValueError(f"unknown gate id {gid}")
 
     def and_(self, a: int, b: int) -> int:
         gid = len(self._kinds)
@@ -100,9 +97,32 @@ class CircuitBuilder:
         self._second.append(b)
         return gid
 
+    def run(self, pattern: Sequence[str], firsts: Sequence[Sequence[int]],
+            seconds: Sequence[Sequence[int]], count: int) -> range:
+        """Append ``count`` repeats of ``pattern``, AND and XOR kinds, and return their ids;
+        gate j of repeat r reads ``firsts[j][r]`` and ``seconds[j][r]``. Each lane is checked
+        first: a ``range`` by its ends, others by min and max, then one by one if need be."""
+        p, gid, lanes = len(pattern), len(self._kinds), [*firsts, *seconds]
+        if not {*pattern} <= {AND, XOR} or len(lanes) != 2 * p or {*map(len, lanes)} - {count}:
+            raise ValueError(f"a run takes AND and XOR kinds, each with two lanes of {count} ids")
+        for j, lane in enumerate(lanes):
+            ids, ends = range(gid + j % p, gid + p * count, p), slice(None, None, count - 1 or 1)
+            if isinstance(lane, range):  # arithmetic like its ids, so the two ends decide
+                lane, ids = lane[ends], ids[ends]
+            if lane and not (min(lane) >= 0 and (max(lane) < gid or all(map(lt, lane, ids)))):
+                for r, k in product(range(count), range(2 * p)):  # name the first bad operand
+                    if not 0 <= (o := lanes[k % 2 * p + k // 2][r]) < gid + r * p + k // 2:
+                        raise ValueError(f"unknown gate id {o}")
+        self._kinds += bytes(_CODES[k] for k in pattern) * count
+        self._first.extend(chain.from_iterable(zip(*firsts)))  # repeat by repeat, gate order
+        self._second.extend(chain.from_iterable(zip(*seconds)))
+        self.and_gates_created += count * pattern.count(AND)
+        return range(gid, gid + p * count)
+
     def not_(self, a: int) -> int:
-        self._check_operand(a)
         gid = len(self._kinds)
+        if not 0 <= a < gid:
+            raise ValueError(f"unknown gate id {a}")
         self._kinds.append(16)
         self._first.append(a)
         self._second.append(0)
@@ -110,8 +130,10 @@ class CircuitBuilder:
 
     def finish(self, outputs: Sequence[tuple[str, int]]) -> "Circuit":
         """A Circuit of copies of the arrays, so later gates stay the builder's."""
+        known = len(self._kinds)  # a local: no method call or len() per output
         for _, gid in outputs:
-            self._check_operand(gid)
+            if not 0 <= gid < known:
+                raise ValueError(f"unknown gate id {gid}")
         return Circuit(self.arity, (), tuple(outputs), _arrays=(
             bytes(self._kinds), self._first[:], self._second[:], dict(self._wide)))
 

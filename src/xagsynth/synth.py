@@ -20,13 +20,15 @@ Both read input x_v as gate v - 1 of a fresh builder. The builder is
 append-only, so every node a later stage reuses is shared by id: the
 cumulative XOR prefixes x_1 XOR ... XOR x_k, and the pair sums
 x_i XOR x_{i+1} that stage 1 builds and stage 2 multiplies by sigma_n. XORs
-are free for the AND count, but sharing keeps the circuit O(n) nodes.
+are free for the AND count, but sharing keeps the circuit O(n) nodes. Ids
+are arithmetic in n, so the optimal construction emits each regular run, such
+as stage 2's XOR/AND/AND period, with one ``CircuitBuilder.run`` call.
 """
 
 from __future__ import annotations
 
 from .anf import Anf
-from .circuit import Circuit, CircuitBuilder
+from .circuit import AND, XOR, Circuit, CircuitBuilder
 
 OPTIMAL = "optimal"
 BASELINE = "baseline"
@@ -53,43 +55,49 @@ def _build_optimal(builder: CircuitBuilder, n: int):
     Returns the sigma_n id, the n-1 stage-2 ids in label order, the output
     ids f_1..f_n, and the ANDs each stage added.
     """
-    and_, xor = builder.and_, builder.xor
-    x = list(range(-1, n))  # x[v] = gate v - 1, one int shared by its readers
-    odd = n % 2
+    and_, xor, run, odd = builder.and_, builder.xor, builder.run, n % 2
+    reps = (n - 4 + odd) // 2  # repeats of stage 1's step and of stage 2's period
+
+    def lane(first, step):  # one operand per repeat: first, first + step, ...
+        return range(first, first + step * reps, step)
 
     # stage 1: sigma_n with n-2 ANDs. Odd arities grow two at a time from
     # sigma_3 = ((x_1 XOR x_2) AND (x_2 XOR x_3)) XOR x_2; an even arity tops
-    # off the odd sigma_{n-1} with one more AND.
-    prefix = [None, x[1]]  # prefix[k] = x_1 XOR ... XOR x_k
-    for k in range(2, n if odd else n + 1):
-        prefix.append(xor(prefix[-1], x[k]))
-    pair = {1: prefix[2], 2: xor(x[2], x[3])}  # i -> x_i XOR x_{i+1}, reused by stage 2
-    sigma = xor(and_(pair[1], pair[2]), x[2])
-    for m in range(5, n + 1 if odd else n, 2):
-        # sigma_m = sigma_{m-2} AND (((x_{m-1} XOR x_m) AND (x_1+...+x_{m-1})) XOR x_{m-1})
-        pair[m - 1] = xor(x[m - 1], x[m])
-        sigma = and_(sigma, xor(and_(pair[m - 1], prefix[m - 1]), x[m - 1]))
+    # off the odd sigma_{n-1} with one more AND. prefix[k] = x_1 XOR ... XOR x_k is
+    # gate n + k - 2 for k = 2..n - odd, XOR(prefix[k-1], x_k); pair[1] = prefix[2]
+    xor(0, 1)  # prefix[2], gate n; the run adds prefix[3], prefix[4], ...
+    run([XOR], [range(n, 2 * n - 2 - odd)], [range(2, n - odd)], n - 2 - odd)
+    pair2 = xor(1, 2)  # pair[i] = x_i XOR x_{i+1}, reused by stage 2
+    sigma = xor(and_(n, pair2), 1)  # sigma_3
+    # step r (m = 5 + 2r) is gates sigma_3 + 4r + 1..4: pair[m-1] = XOR(x_{m-1}, x_m),
+    # t = AND(pair[m-1], prefix[m-1]), u = XOR(t, x_{m-1}), sigma_m = AND(sigma_{m-2}, u)
+    pairs = lane(sigma + 1, 4)  # pair[4], pair[6], ...
+    run([XOR, AND, XOR, AND], [lane(3, 2), pairs, lane(sigma + 2, 4), lane(sigma, 4)],
+        [lane(4, 2), lane(n + 2, 2), lane(3, 2), lane(sigma + 3, 4)], reps)
+    sigma += 4 * reps
     if not odd:
         previous = sigma  # sigma_{n-1}, tapped again by stage 2
-        sigma = and_(previous, prefix[n])
+        sigma = and_(previous, 2 * n - 2)  # AND prefix[n]
     c1 = builder.and_gates_created
 
-    # stage 2: pair products s_i = (x_i XOR x_{i+1}) AND sigma_n; for even n
-    # the last one is the output x_1...x_{n-1} = sigma_{n-1} AND prefix[n-1]
-    stage2 = [and_(pair[i] if i in pair else xor(x[i], x[i + 1]), sigma)
-              for i in range(1, n if odd else n - 1)]
+    # stage 2: s_i = pair[i] AND sigma_n; for even n the last is the output x_1...x_{n-1}
+    # = sigma_{n-1} AND prefix[n-1]. Period r (i = 3 + 2r) is gates s_2 + 3r + 1..3:
+    # pair[i] = XOR(x_i, x_{i+1}), s_i = AND(pair[i], sigma_n), s_{i+1} = AND(pair[i+1], sigma_n)
+    stage2 = [0] * (2 * reps + 2)
+    stage2[:2] = and_(n, sigma), and_(pair2, sigma)
+    sigmas = [sigma] * reps
+    period = run([XOR, AND, AND], [lane(2, 2), lane(stage2[1] + 1, 3), pairs],
+                 [lane(3, 2), sigmas, sigmas], reps)
+    stage2[2::2], stage2[3::2] = period[1::3], period[2::3]
     if not odd:
-        stage2.append(and_(previous, prefix[n - 1]))
+        stage2.append(and_(previous, 2 * n - 3))
     c2 = builder.and_gates_created
 
-    # stage 3, XOR only: f_1 is sigma_n XOR the even-indexed pair products
-    # (XOR the direct last output when n is even); f_i = f_{i-1} XOR s_{i-1}
-    first = [sigma] if odd else [sigma, stage2[-1]]
-    outputs = [xor(*first, *stage2[1::2])]
-    for s in (stage2 if odd else stage2[:-1]):
-        outputs.append(xor(outputs[-1], s))
-    if not odd:
-        outputs.append(stage2[-1])
+    # stage 3, XOR only: f_1 is sigma_n XOR the even-indexed pair products (XOR
+    # the direct last output when n is even); f_{k+1} = XOR(f_k, s_k) is gate f_1 + k
+    f1 = xor(*([sigma] if odd else [sigma, stage2[-1]]), *stage2[1::2])
+    s = stage2 if odd else stage2[:-1]
+    outputs = [f1, *run([XOR], [range(f1, f1 + len(s))], [s], len(s)), *stage2[len(s):]]
     return sigma, stage2, outputs, (c1, c2 - c1, builder.and_gates_created - c2)
 
 

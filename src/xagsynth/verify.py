@@ -107,9 +107,9 @@ def _report(mode, circuit, inputs_checked, blocks, point_at, expected_and_count,
     total = 0
     for first, got_cols, expected_cols in blocks:
         for out_idx, (got, exp) in enumerate(zip(got_cols, expected_cols), start=1):
-            diff = got ^ exp
-            if not diff:
+            if got == exp:  # no XOR, so no width-bit int, for an output that matches
                 continue
+            diff = got ^ exp
             total += diff.bit_count()
             if len(kept) < MISMATCH_CAP or out_idx < kept[-1][0]:
                 kept += [(out_idx, first + t, (exp >> t) & 1, (got >> t) & 1)

@@ -4,8 +4,9 @@ Deliberately independent of the package internals: polynomials are lists of
 variable-index tuples, tables are plain lists, and every transform is the
 direct definition (subset sums, pairwise expansion), not the fast path. The
 two helpers that build a circuit, ``retap`` and ``with_zero_outputs``, use
-the public ``Circuit`` constructor; ``patch_optimal`` and its two mutants
-wrap the optimal construction for mutation tests.
+the public ``Circuit`` constructor; ``reference_optimal`` is the optimal
+construction one gate at a time, and ``patch_optimal`` and its two mutants
+wrap the library's construction for mutation tests.
 """
 
 import json
@@ -138,6 +139,48 @@ def with_zero_outputs(circuit, indices):
     for k in indices:
         c = retap(c, k, zero)
     return c
+
+
+def reference_optimal(builder, n):
+    """The optimal construction one builder call per gate: the reference
+    for ``synth._build_optimal``, which emits the same gates in bulk runs.
+    Returns the sigma_n id, the stage-2 ids, the output ids and the ANDs
+    each stage added."""
+    and_, xor = builder.and_, builder.xor
+    x = list(range(-1, n))  # x[v] = gate v - 1, one int shared by its readers
+    odd = n % 2
+
+    # stage 1: sigma_n with n-2 ANDs
+    prefix = [None, x[1]]  # prefix[k] = x_1 XOR ... XOR x_k
+    for k in range(2, n if odd else n + 1):
+        prefix.append(xor(prefix[-1], x[k]))
+    pair = {1: prefix[2], 2: xor(x[2], x[3])}  # i -> x_i XOR x_{i+1}, reused by stage 2
+    sigma = xor(and_(pair[1], pair[2]), x[2])
+    for m in range(5, n + 1 if odd else n, 2):
+        # sigma_m = sigma_{m-2} AND (((x_{m-1} XOR x_m) AND (x_1+...+x_{m-1})) XOR x_{m-1})
+        pair[m - 1] = xor(x[m - 1], x[m])
+        sigma = and_(sigma, xor(and_(pair[m - 1], prefix[m - 1]), x[m - 1]))
+    if not odd:
+        previous = sigma  # sigma_{n-1}
+        sigma = and_(previous, prefix[n])
+    c1 = builder.and_gates_created
+
+    # stage 2: pair products (x_i XOR x_{i+1}) AND sigma_n; for even n the
+    # last one is sigma_{n-1} AND prefix[n-1]
+    stage2 = [and_(pair[i] if i in pair else xor(x[i], x[i + 1]), sigma)
+              for i in range(1, n if odd else n - 1)]
+    if not odd:
+        stage2.append(and_(previous, prefix[n - 1]))
+    c2 = builder.and_gates_created
+
+    # stage 3, XOR only
+    first = [sigma] if odd else [sigma, stage2[-1]]
+    outputs = [xor(*first, *stage2[1::2])]
+    for s in (stage2 if odd else stage2[:-1]):
+        outputs.append(xor(outputs[-1], s))
+    if not odd:
+        outputs.append(stage2[-1])
+    return sigma, stage2, outputs, (c1, c2 - c1, builder.and_gates_created - c2)
 
 
 def patch_optimal(monkeypatch, change):

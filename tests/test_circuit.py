@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -74,6 +75,101 @@ class TestBuilder:
         x1 = 0
         with pytest.raises(ValueError):
             b.xor(x1)
+
+    @pytest.mark.parametrize("bad", [10_003, -1])
+    def test_finish_names_a_bad_output_id_last_of_many(self, bad):
+        b = CircuitBuilder(3)
+        for _ in range(10_000):
+            b.not_(0)
+        outputs = [(f"f{i}", i) for i in range(9_999)] + [("last", bad)]
+        with pytest.raises(ValueError, match=f"^unknown gate id {bad}$"):
+            b.finish(outputs)
+        assert len(b.finish(outputs[:-1])) == 10_003
+
+    def test_finish_names_the_first_bad_output_id(self):
+        with pytest.raises(ValueError, match="^unknown gate id 7$"):
+            CircuitBuilder(2).finish([("a", 1), ("b", 7), ("c", -3)])
+
+
+def builder_state(b):
+    return (bytes(b._kinds), b._first.tobytes(), b._second.tobytes(),
+            {g: ops.tobytes() for g, ops in b._wide.items()}, b.and_gates_created)
+
+
+class TestRun:
+    """``CircuitBuilder.run``: a repeated AND/XOR pattern in one call."""
+
+    def test_matches_one_call_per_gate(self):
+        bulk, single = CircuitBuilder(4), CircuitBuilder(4)
+        bulk.xor(0, 1)
+        single.xor(0, 1)
+        ids = bulk.run([XOR, AND, AND], [range(0, 3), [4, 5, 6], range(1, 10, 4)],
+                       [array("i", [3, 3, 3]), range(2, 5), [0, 0, 0]], 3)
+        assert ids == range(5, 14)
+        for r in range(3):
+            single.xor(r, 3)
+            single.and_([4, 5, 6][r], 2 + r)
+            single.and_(1 + 4 * r, 0)
+        assert builder_state(bulk) == builder_state(single)
+
+    def test_and_count_grows_by_the_patterns_ands(self):
+        b = CircuitBuilder(2)
+        b.run([AND, XOR, AND, AND], [range(0, 5)] * 4, [range(1, 6)] * 4, 5)
+        assert b.and_gates_created == 15
+        b.run([XOR], [range(0, 7)], [range(1, 8)], 7)
+        assert b.and_gates_created == 15
+
+    def test_zero_count_adds_nothing(self):
+        b = CircuitBuilder(3)
+        before = builder_state(b)
+        assert b.run([XOR, AND], [range(0), []], [array("i"), range(5, 5)], 0) == range(3, 3)
+        assert b.run([], [], [], 4) == range(3, 3)
+        assert builder_state(b) == before
+
+    # against gates 4..7, operand 6 is its own gate's id; the array's max is
+    # past the run's first gate but only its third operand is out of order
+    @pytest.mark.parametrize("bad", [range(2, 10, 2), array("i", [0, 4, 6, 1])],
+                             ids=["range", "array"])
+    @pytest.mark.parametrize("slot", [0, 1])
+    def test_refuses_an_operand_not_before_its_gate(self, bad, slot):
+        b = CircuitBuilder(3)
+        b.xor(0, 1)
+        before = builder_state(b)
+        good = range(0, 4)
+        lanes = [[bad], [good]] if slot == 0 else [[good], [bad]]
+        with pytest.raises(ValueError, match="^unknown gate id 6$"):
+            b.run([AND], *lanes, 4)
+        assert builder_state(b) == before
+
+    @pytest.mark.parametrize("make", [range, lambda *a: array("i", range(*a))],
+                             ids=["range", "array"])
+    def test_refuses_a_negative_operand(self, make):
+        b = CircuitBuilder(3)
+        before = builder_state(b)
+        with pytest.raises(ValueError, match="^unknown gate id -1$"):
+            b.run([XOR], [make(2, -2, -1)], [range(0, 4)], 4)
+        with pytest.raises(ValueError, match="^unknown gate id -2$"):
+            b.run([XOR, AND], [range(2), range(2)], [range(2), make(-2, 0)], 2)
+        assert builder_state(b) == before
+
+    def test_names_the_first_bad_operand_in_gate_order(self):
+        # gates 2 (XOR) and 3 (AND) in repeat 0, 4 and 5 in repeat 1: the
+        # AND's second operand 9 at gate 3 comes before the XOR's 6 at gate 4
+        b = CircuitBuilder(2)
+        with pytest.raises(ValueError, match="^unknown gate id 9$"):
+            b.run([XOR, AND], [[0, 6], [0, 0]], [[1, 1], [9, 1]], 2)
+
+    @pytest.mark.parametrize("pattern,firsts,seconds", [
+        ([AND], [range(3)], [range(2)]),  # a lane of 2 operands in a run of 3
+        ([AND, XOR], [range(3), range(3)], [range(3)]),  # a lane missing
+        ([NOT], [range(3)], [range(3)]),  # NOT has no second operand
+    ])
+    def test_refuses_a_malformed_run(self, pattern, firsts, seconds):
+        b = CircuitBuilder(3)
+        before = builder_state(b)
+        with pytest.raises(ValueError, match="a run takes AND and XOR kinds"):
+            b.run(pattern, firsts, seconds, 3)
+        assert builder_state(b) == before
 
 
 class TestEval:
@@ -353,6 +449,19 @@ class TestStructure:
     def test_validate_rejects_malformed_layout(self, gates, match):
         with pytest.raises(ValueError, match=match):
             Circuit(2, gates, (("y", 0),)).validate()
+
+    @pytest.mark.parametrize("gates,message", [
+        ([("AND", 0, 1), ("XOR", 0, 5), ("AND", 9, 0)], "gate 3: operand 5 not before gate"),
+        ([("XOR", 0, 1, 3), ("AND", 0, 7)], "gate 2: operand 3 not before gate"),
+        ([("AND", 0, 1), ("XOR", 0, 1, 2, 8)], "gate 3: operand 8 not before gate"),
+        ([("AND", 0, 1), ("NOT", -4), ("AND", 0, -1)], "gate 3: operand -4 not before gate"),
+        ([("AND", 0, 1), ("XOR", 1, -2)], "gate 3: operand -2 not before gate"),
+        ([("AND", 2, 0)], "gate 2: operand 2 not before gate"),
+    ])
+    def test_validate_names_the_first_fault(self, gates, message):
+        c = Circuit(2, [("INPUT",), ("INPUT",), *gates], (("y", 0),))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            c.validate()
 
     def test_output_columns_rejects_wrong_column_count(self):
         from xagsynth import synthesize

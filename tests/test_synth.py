@@ -1,6 +1,8 @@
 import hashlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xagsynth import (
     AND,
@@ -13,9 +15,11 @@ from xagsynth import (
     synthesize,
     synthesize_plan,
 )
+from xagsynth.circuit import CircuitBuilder
 from xagsynth.verify import gate_anfs
 
-from oracles import all_inputs, leave_one_out_reference, mono, naive_anf_terms, vars_of
+from oracles import (all_inputs, leave_one_out_reference, mono, naive_anf_terms,
+                     reference_optimal, vars_of)
 
 
 def anf_of_node(plan, gid):
@@ -172,6 +176,30 @@ class TestSynthesize:
         s = {i: Anf.linear(n, [i, i + 1]) * sig for i in range(1, n)}
         for k in range(2, n + 1):
             assert reference_anf(n, k) == reference_anf(n, k - 1) + s[k - 1]
+
+
+def assert_matches_reference(n):
+    """The bulk construction emits exactly the gates, in the same order, and
+    names exactly the nodes that the one-call-per-gate reference does."""
+    plan, b = synthesize_plan(n), CircuitBuilder(n)
+    sigma, stage2, outputs, counts = reference_optimal(b, n)
+    c = plan.circuit
+    assert bytes(c._kinds) == bytes(b._kinds)
+    assert c._first == b._first and c._second == b._second
+    assert c._wide == b._wide
+    assert (plan.sigma, plan.stage2_nodes, plan.stage_and_counts) == (sigma, stage2, counts)
+    assert [gid for _, gid in c.outputs] == outputs
+
+
+class TestBulkConstruction:
+    @given(st.integers(3, 3000))
+    @settings(max_examples=50, deadline=None)
+    def test_matches_one_call_per_gate(self, n):
+        assert_matches_reference(n)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 16384, 16385, 50001])
+    def test_matches_one_call_per_gate_at_fixed_n(self, n):
+        assert_matches_reference(n)
 
 
 class TestDegreeLowerBound:

@@ -273,6 +273,24 @@ class TestSampledBlocks:
         assert not r.passed and r.mismatch_count == 4
         assert {m.output_index for m in r.mismatches} == {1, 2}
 
+    def test_only_mismatching_outputs_are_xored(self, monkeypatch):
+        # a matching output is compared, not XORed with its reference: the
+        # XOR would build one more width-bit int per output and block
+        xored = []
+
+        class Column(int):
+            def __xor__(self, other):
+                xored.append(int(self))
+                return int(self) ^ other
+
+        output_columns = Circuit.output_columns
+        monkeypatch.setattr(Circuit, "output_columns", lambda self, cols, width:
+                            [Column(v) for v in output_columns(self, cols, width)])
+        assert check_sampled(synthesize(12), 50, seed=2).passed and xored == []
+        r = check_sampled(with_zero_outputs(synthesize(12), [3]), 50, seed=2)
+        assert not r.passed and {m.output_index for m in r.mismatches} == {4}
+        assert xored == [0]  # output 4, in the structured block only
+
     def test_random_block_released_before_structured_passes(self, monkeypatch):
         # the random block (2048 inputs x 16384 samples, 4 MiB) is held only
         # by its own pass, so a structured pass starts without it
