@@ -13,9 +13,10 @@ kind byte (0 input, 4 two-operand XOR, 8 AND, 16 NOT, 32 XOR of three or
 more operands) and two signed 4-byte operand slots, 0 where unused; a wider
 XOR's operands sit in a small dict by gate id. A circuit of arity n starts
 with its n inputs, so input x_v is gate v - 1, as in Bristol Fashion where
-inputs are wires 0..n-1; every later gate has kind AND, XOR or NOT.
-:attr:`Circuit.gates` builds ``(kind, *operand ids)`` tuples on request; no
-library walk reads it.
+inputs are wires 0..n-1; every later gate has kind AND, XOR or NOT. Output
+gate ids sit in an array beside their labels, strs or numbered by index.
+:attr:`Circuit.gates` and :attr:`Circuit.outputs` build tuples on each read;
+no library path reads either.
 
 The builder appends a gate per ``and_``, ``xor`` or ``not_`` call and a run
 of a repeated AND/XOR pattern per ``run`` call, and performs no algebraic
@@ -128,14 +129,19 @@ class CircuitBuilder:
         self._second.append(0)
         return gid
 
-    def finish(self, outputs: Sequence[tuple[str, int]]) -> "Circuit":
-        """A Circuit of copies of the arrays, so later gates stay the builder's."""
-        known = len(self._kinds)  # a local: no method call or len() per output
-        for _, gid in outputs:
-            if not 0 <= gid < known:
-                raise ValueError(f"unknown gate id {gid}")
-        return Circuit(self.arity, (), tuple(outputs), _arrays=(
-            bytes(self._kinds), self._first[:], self._second[:], dict(self._wide)))
+    def finish(self, outputs: Iterable[tuple[str, int]]) -> "Circuit":
+        """A Circuit of copies of the arrays; ``outputs`` is read once, as pairs."""
+        pairs = tuple(outputs)
+        return self._finish(tuple(label for label, _ in pairs), [gid for _, gid in pairs])
+
+    def _finish(self, labels: Iterable[str], ids: Sequence[int]) -> "Circuit":
+        """:meth:`finish` for the labels and the output gate ids apart."""
+        known = len(self._kinds)
+        if ids and not (min(ids) >= 0 and max(ids) < known):
+            raise ValueError(f"unknown gate id {next(g for g in ids if not 0 <= g < known)}")
+        return Circuit(self.arity, (), (), _arrays=(
+            bytes(self._kinds), self._first[:], self._second[:], dict(self._wide), labels,
+            array("i", ids)))
 
 
 def _pack(n: int, gates: Iterable[tuple]) -> tuple[bytearray, array, array, dict[int, array]]:
@@ -160,16 +166,34 @@ def _pack(n: int, gates: Iterable[tuple]) -> tuple[bytearray, array, array, dict
     return kinds, first, second, wide
 
 
+class _Numbered:
+    """Labels prefix1..prefix<size>, made from the index on each read: no str per output."""
+
+    def __init__(self, prefix: str, size: int):
+        self.prefix, self.size = prefix, size
+
+    def __iter__(self) -> Iterator[str]:
+        return map(self.prefix.__add__, map(str, range(1, self.size + 1)))
+
+
 class Circuit:
     """Immutable gate DAG with labeled outputs; safe to share across threads."""
 
-    __slots__ = ("arity", "outputs", "_kinds", "_first", "_second", "_wide", "_walk", "_last")
+    __slots__ = ("arity", "_kinds", "_first", "_second", "_wide", "_labels", "_ids", "_walk",
+                 "_last")
 
-    def __init__(self, arity: int, gates: Iterable[tuple], outputs: tuple[tuple[str, int], ...],
+    def __init__(self, arity: int, gates: Iterable[tuple], outputs: Iterable[tuple[str, int]],
                  *, _arrays: tuple | None = None):
-        """Pack ``(kind, *operand ids)`` tuples, or take ``_arrays`` already packed."""
-        self.arity, self.outputs = arity, outputs
-        self._kinds, self._first, self._second, self._wide = _arrays or _pack(arity, gates)
+        """Pack gate tuples and ``(label, gate id)`` pairs, each read once, or take
+        ``_arrays`` already packed: the gate arrays, the labels and the output ids."""
+        if _arrays is None:  # an output id past 4 bytes names no gate, as validate says
+            _arrays, pairs = _pack(arity, gates), tuple(outputs)
+            for label, gid in pairs:
+                if not -_ID_LIMIT <= gid <= _ID_LIMIT:
+                    raise ValueError(f"output {label!r} references unknown gate {gid}")
+            _arrays += (tuple(label for label, _ in pairs), array("i", [g for _, g in pairs]))
+        self.arity = arity
+        self._kinds, self._first, self._second, self._wide, self._labels, self._ids = _arrays
         self._walk: tuple[bytearray, int] | None = None  # filled by _structure() or _drop_plan()
         self._last: tuple[bytes, dict] | None = None  # filled by _drop_plan()
 
@@ -187,6 +211,11 @@ class Circuit:
         """Every gate as ``(kind, *operand ids)``, built anew on each call."""
         return tuple((kind, *ops) for kind, ops in self._rows())
 
+    @property
+    def outputs(self) -> tuple[tuple[str, int], ...]:
+        """Every output as ``(label, gate id)``, built anew on each call."""
+        return tuple(zip(self._labels, self._ids))
+
     def validate(self) -> None:
         """Check structural invariants; used on import and in tests."""
         n, kinds, wide = self.arity, self._kinds, self._wide
@@ -197,7 +226,7 @@ class Circuit:
                 for o in wide.get(gid, (a, b)):
                     if not 0 <= o < gid:
                         raise ValueError(f"gate {gid}: operand {o} not before gate")
-        for label, gid in self.outputs:
+        for label, gid in zip(self._labels, self._ids):
             if not 0 <= gid < len(kinds):
                 raise ValueError(f"output {label!r} references unknown gate {gid}")
 
@@ -208,7 +237,7 @@ class Circuit:
         first evaluation fills it too, from its plan walk."""
         if self._walk is None:
             kinds, mark = self._kinds, bytearray(len(self._kinds))
-            for _, gid in self.outputs:
+            for gid in self._ids:
                 mark[gid] = 1
             gates = zip(count(len(kinds) - 1, -1), reversed(kinds), reversed(self._first),
                         reversed(self._second))
@@ -247,7 +276,7 @@ class Circuit:
         if self._last is None:
             kinds, n = self._kinds, self.arity
             read = bytearray(len(kinds))  # 1 once an output or a later live gate reads it
-            for _, gid in self.outputs:
+            for gid in self._ids:
                 read[gid] = 1
             drops, wide = bytearray(len(kinds) - n), {}  # 0 for each dead gate
             gates = zip(count(len(kinds) - 1, -1), reversed(kinds), reversed(self._first),
@@ -306,7 +335,7 @@ class Circuit:
             if f & 1:
                 cols[a] = None
             append(v)
-        return [cols[gid] for _, gid in self.outputs]
+        return [cols[gid] for gid in self._ids]
 
     def eval_all(self) -> list[int]:
         """Truth table of every output over all 2^arity inputs: bit x of an

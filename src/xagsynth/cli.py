@@ -93,13 +93,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_synth(args) -> int:
     plan = synthesize_plan(args.n, args.construction)
-    circuit = plan.circuit
+    circuit, (s1, s2, s3) = plan.circuit, plan.stage_and_counts
+    del plan  # its stage-2 ids are not needed past here
     # the writer streams into the file, so the whole text is never held
     write = {"bristol": partial(write_bristol, circuit), "dot": partial(write_dot, circuit),
-             "json": partial(write_json, circuit, construction=plan.construction)}[args.format]
-    s1, s2, s3 = plan.stage_and_counts
+             "json": partial(write_json, circuit, construction=args.construction)}[args.format]
     print(
-        f"n={plan.n} construction={plan.construction} "
+        f"n={args.n} construction={args.construction} "
         f"and_count={circuit.and_count()} "
         f"stage_ands={s1}+{s2}+{s3}",
         file=sys.stderr,
@@ -150,8 +150,9 @@ def _cmd_lemmas(args) -> int:
 def _cmd_stats(args) -> int:
     n = args.n
     optimal = synthesize(n, OPTIMAL)
+    opt_count, opt_gates = optimal.and_count(), len(optimal)
+    del optimal  # released before the baseline is built
     baseline = synthesize(n, BASELINE)
-    opt_count = optimal.and_count()
     base_count = baseline.and_count()
     bound = degree_lower_bound(reference_anf(n, 1))
     print(f"n = {n}")
@@ -162,7 +163,7 @@ def _cmd_stats(args) -> int:
         print(f"error: optimal and_count {opt_count} is below a degree lower bound",
               file=sys.stderr)
         return EXIT_VERIFY_FAILED
-    print(f"gates: optimal={len(optimal)} baseline={len(baseline)}")
+    print(f"gates: optimal={opt_gates} baseline={len(baseline)}")
     return EXIT_OK
 
 

@@ -27,7 +27,7 @@ from itertools import chain, compress, count, islice
 from operator import countOf, itemgetter
 from typing import Iterable, Iterator, TextIO
 
-from .circuit import _KINDS, INPUT, Circuit
+from .circuit import _KINDS, INPUT, Circuit, _Numbered
 
 # Largest declared input count import_bristol accepts: each declared input
 # takes its slots in the gate arrays before any gate line is read.
@@ -79,7 +79,7 @@ def _bristol_lines(circuit: Circuit, live: bytearray) -> Iterator[str]:
             yield f"2 1 {a} {ops[-1]} {w} XOR"
         wire_of[gid] = w
         w += 1
-    for _, gid in circuit.outputs:
+    for gid in circuit._ids:
         yield f"2 1 {wire_of[gid]} {zero} {w} XOR"
         w += 1
 
@@ -87,9 +87,9 @@ def _bristol_lines(circuit: Circuit, live: bytearray) -> Iterator[str]:
 def write_bristol(circuit: Circuit, fh: TextIO) -> None:
     """Write the circuit as Bristol Fashion. The header's gate count is
     counted from the reachable flags before the body streams."""
-    if not circuit.outputs:
+    if not circuit._ids:
         raise ValueError("cannot export a circuit with no outputs")
-    n, outs = circuit.arity, len(circuit.outputs)
+    n, outs = circuit.arity, len(circuit._ids)
     live = circuit.reachable()
     live[:n] = bytes(n)  # the inputs are wires, not lines
     # zero wire + one line per live gate and (operands - 2) more per wider XOR + output copies
@@ -205,12 +205,12 @@ def import_bristol(text: str) -> Circuit:
         first.append(a)
         second.append(b)
 
-    outputs = []
-    for k, w in enumerate(range(nwires - n_output_wires, nwires), start=1):
-        if w not in gate_of:
-            raise BristolFormatError(f"output wire {w} is never driven")
-        outputs.append((f"o{k}", gate_of[w]))
-    circuit = Circuit(n_inputs, (), tuple(outputs), _arrays=(kinds, first, second, {}))
+    out_wires = range(nwires - n_output_wires, nwires)
+    ids = array("i", [gate_of.get(w, -1) for w in out_wires])  # -1: never driven
+    if -1 in ids:
+        raise BristolFormatError(f"output wire {out_wires[ids.index(-1)]} is never driven")
+    circuit = Circuit(n_inputs, (), (), _arrays=(kinds, first, second, {},
+                                                 _Numbered("o", len(ids)), ids))
     circuit.validate()
     return circuit
 
@@ -219,7 +219,7 @@ def write_dot(circuit: Circuit, fh: TextIO) -> None:
     """Graphviz digraph; node order and edges follow gate ids, so two exports
     of the same circuit are byte-identical."""
     labels_by_gid: dict[int, list[str]] = {}
-    for label, gid in circuit.outputs:
+    for label, gid in zip(circuit._labels, circuit._ids):
         label = label.replace("\\", "\\\\").replace('"', '\\"')  # inside a quoted DOT string
         labels_by_gid.setdefault(gid, []).append(label)
 
@@ -258,7 +258,7 @@ def write_json(circuit: Circuit, fh: TextIO, construction: str | None = None) ->
               for gid, k, a, b in islice(zip(count(), circuit._kinds, circuit._first,
                                              circuit._second), n, None))
     outputs = (f'    {{\n      "label": {json.dumps(label)},\n      "id": {gid}\n    }}'
-               for label, gid in circuit.outputs)
+               for label, gid in zip(circuit._labels, circuit._ids))
     fh.write(("\n  ]" if _write_joined(fh, chain(inputs, others), ",\n", "\n") else "]")
              + ',\n  "outputs": [')
     fh.write(("\n  ]" if _write_joined(fh, outputs, ",\n", "\n") else "]") + "\n}\n")

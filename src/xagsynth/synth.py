@@ -28,7 +28,7 @@ as stage 2's XOR/AND/AND period, with one ``CircuitBuilder.run`` call.
 from __future__ import annotations
 
 from .anf import Anf
-from .circuit import AND, XOR, Circuit, CircuitBuilder
+from .circuit import AND, XOR, Circuit, CircuitBuilder, _Numbered
 
 OPTIMAL = "optimal"
 BASELINE = "baseline"
@@ -131,7 +131,7 @@ def synthesize_plan(n: int, construction: str = OPTIMAL) -> SynthesisPlan:
         counts = (builder.and_gates_created, 0, 0)
     else:
         raise ValueError(f"unknown construction {construction!r}")
-    circuit = builder.finish([(f"f_{i}", gid) for i, gid in enumerate(outputs, start=1)])
+    circuit = builder._finish(_Numbered("f_", len(outputs)), outputs)  # labels f_1..f_n
     return SynthesisPlan(n, construction, circuit, sigma, stage2_nodes, counts)
 
 

@@ -130,8 +130,8 @@ def check_exhaustive(circuit: Circuit, expected_and_count: int | None = None) ->
     n = circuit.arity
     if n > MAX_DENSE_ARITY:
         raise ValueError(f"exhaustive check limited to arity {MAX_DENSE_ARITY}")
-    if len(circuit.outputs) != n:
-        raise ValueError(f"expected {n} outputs, circuit has {len(circuit.outputs)}")
+    if len(circuit._ids) != n:
+        raise ValueError(f"expected {n} outputs, circuit has {len(circuit._ids)}")
     got = circuit.eval_all()
     expected = (reference_table_bits(n, i) for i in range(1, n + 1))  # one at a time
     return _report(EXHAUSTIVE, circuit, 1 << n, [(0, got, expected)],
@@ -167,8 +167,8 @@ def check_sampled(circuit: Circuit, count: int, seed: int,
     distinct column, so they ride in the first block: 1 + ceil(n / w) passes.
     """
     n = circuit.arity
-    if len(circuit.outputs) != n:
-        raise ValueError(f"expected {n} outputs, circuit has {len(circuit.outputs)}")
+    if len(circuit._ids) != n:
+        raise ValueError(f"expected {n} outputs, circuit has {len(circuit._ids)}")
     if count < 1:
         raise ValueError("sample count must be at least 1")
 
@@ -303,7 +303,7 @@ def check_lemma_suite(n_max: int) -> list[LemmaCheck]:
                            str(last)))
 
         # stage-3 extraction: output i is the single monomial missing x_i
-        outputs = [anfs[gid] for _, gid in plan.circuit.outputs]
+        outputs = [anfs[gid] for gid in plan.circuit._ids]
         bad = [i for i, f in enumerate(outputs, start=1) if f != reference_anf(n, i)]
         detail = f"i={bad[0]}: got {outputs[bad[0] - 1]}" if bad else ""
         add(LemmaCheck("output-extraction", n, not bad, detail))

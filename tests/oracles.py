@@ -134,11 +134,10 @@ def retap(circuit, k, gid):
 
 def with_zero_outputs(circuit, indices):
     """The circuit with the given outputs tapped at a constant 0, XOR(x1, x1)."""
-    zero = len(circuit.gates)
-    c = Circuit(circuit.arity, circuit.gates + (("XOR", 0, 0),), circuit.outputs)
+    gates, outputs = circuit.gates, list(circuit.outputs)  # each view built once
     for k in indices:
-        c = retap(c, k, zero)
-    return c
+        outputs[k] = (outputs[k][0], len(gates))
+    return Circuit(circuit.arity, gates + (("XOR", 0, 0),), outputs)
 
 
 def reference_optimal(builder, n):
@@ -209,7 +208,7 @@ def outputs_at_sigma(builder, sigma, stage2, outputs):
 def json_dumps_circuit(circuit, construction=None):
     """The JSON circuit document as ``json.dumps(doc, indent=2)`` writes it:
     the byte oracle for ``export_json``."""
-    gates, entries = circuit.gates, []  # the tuple view is built once
+    gates, outputs, entries = circuit.gates, circuit.outputs, []  # each view built once
     for gid, gate in enumerate(gates):
         entry = {"id": gid, "kind": gate[0]}
         if gate[0] == "INPUT":
@@ -217,13 +216,13 @@ def json_dumps_circuit(circuit, construction=None):
         else:
             entry["operands"] = list(gate[1:])
         entries.append(entry)
-    reach = naive_reachable(gates, circuit.outputs)
+    reach = naive_reachable(gates, outputs)
     doc = {
         "arity": circuit.arity,
         "construction": construction,
         "and_count": sum(1 for gid in reach if gates[gid][0] == "AND"),
         "gates": entries,
-        "outputs": [{"label": label, "id": gid} for label, gid in circuit.outputs],
+        "outputs": [{"label": label, "id": gid} for label, gid in outputs],
     }
     return json.dumps(doc, indent=2) + "\n"
 

@@ -167,8 +167,7 @@ def test_criterion_11_mutation_sensitivity():
     detected = 0
     for n in range(3, 9):
         plan = synthesize_plan(n, OPTIMAL)
-        for k in range(n):
-            current = plan.circuit.outputs[k][1]
+        for k, (_, current) in enumerate(plan.circuit.outputs):
             for node in plan.stage2_nodes:
                 if node == current:
                     continue

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import tracemalloc
 from array import array
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xagsynth import (AND, BASELINE, NOT, OPTIMAL, XOR, Circuit, CircuitBuilder, export_bristol,
-                      reference_anf, synthesize)
+                      import_bristol, reference_anf, synthesize)
 from xagsynth.verify import gate_anfs
 
 from oracles import (all_inputs, naive_anf_table, naive_anf_value, naive_eval, naive_reachable,
@@ -89,6 +90,19 @@ class TestBuilder:
     def test_finish_names_the_first_bad_output_id(self):
         with pytest.raises(ValueError, match="^unknown gate id 7$"):
             CircuitBuilder(2).finish([("a", 1), ("b", 7), ("c", -3)])
+
+    @pytest.mark.parametrize("once", [lambda pairs: (p for p in pairs),
+                                      lambda pairs: zip(*zip(*pairs))], ids=["generator", "zip"])
+    def test_outputs_read_once(self, once):
+        # a one-shot iterable of outputs gives the circuit its tuple gives,
+        # through the builder and through the constructor alike
+        b, s = sigma3_builder()
+        pairs = (("s", s), ("x1", 0), ("s", s))
+        want = b.finish(pairs)
+        for c in (b.finish(once(pairs)), Circuit(3, want.gates, once(pairs))):
+            assert c.outputs == want.outputs == pairs
+            assert c.and_count() == want.and_count() == 1
+            c.validate()
 
 
 def builder_state(b):
@@ -350,6 +364,32 @@ class TestLayout:
         c = synthesize(5)
         assert c.gates == c.gates and c.gates is not c.gates
 
+    def test_outputs_view(self):
+        # synthesized circuits label their outputs f_1..f_n from the index
+        # (repr sha256 recorded when each output held its own label and
+        # tuple), imported ones o1..ok, and constructor-built ones keep
+        # their labels, repeated or in need of escaping
+        h = hashlib.sha256()
+        for n in (3, 4, 1001):
+            for construction in (OPTIMAL, BASELINE):
+                c = synthesize(n, construction)
+                outputs = c.outputs
+                assert outputs is not c.outputs and outputs == c.outputs
+                assert len(c.outputs) == n
+                assert [label for label, _ in outputs] == [f"f_{i}" for i in range(1, n + 1)]
+                h.update(repr(outputs).encode())
+        assert h.hexdigest() == "d69133f7561dd09180b62dba6a5227eb2a670585e6e4a138e6bfc35ffbc819e7"
+        # an imported circuit's outputs are its last wires, one per output copy
+        doc = export_bristol(synthesize(1001))
+        nwires = int(doc.split()[1])
+        outputs = import_bristol(doc).outputs
+        assert outputs == tuple((f"o{k}", nwires - 1001 + k - 1) for k in range(1, 1002))
+        assert hashlib.sha256(repr(outputs).encode()).hexdigest() == \
+            "4a9600fe5d4d49d4947c4a84cc9793fc45944a9c97a8aee4750a678f9ef54cf1"
+        pairs = (("y", 3), ('q"uote', 4), ("y", 3), ("back\\slash", 0), ("", 4), ("f_1", 2))
+        c = Circuit(3, synthesize(3).gates, pairs)
+        assert c.outputs == pairs and c.outputs is not c.outputs and len(c.outputs) == 6
+
     @pytest.mark.parametrize("gate", [("AND", 0, 1 << 31), ("XOR", 0, -(1 << 40)),
                                       ("XOR", 0, 1, 1 << 31), ("NOT", 1 << 63)])
     def test_operand_past_four_bytes_refused(self, gate):
@@ -358,10 +398,17 @@ class TestLayout:
                                              "do not fit 4 bytes$"):
             Circuit(2, (("INPUT",), ("INPUT",), gate), (("y", 2),))
 
+    @pytest.mark.parametrize("gid", [1 << 31, -(1 << 40)])
+    def test_output_past_four_bytes_refused(self, gid):
+        # no gate has such an id: refused, never wrapped, with validate's message
+        with pytest.raises(ValueError, match=f"^output 'y' references unknown gate {gid}$"):
+            Circuit(2, (("INPUT",), ("INPUT",)), (("x", 1), ("y", gid))).validate()
+
     def test_memory_per_gate(self):
-        # one kind byte and two 4-byte operands per gate, plus the outputs
-        # and the one n/2-operand XOR: about 31 B/gate, where a tuple per
-        # gate took about 110
+        # one kind byte and two 4-byte operands per gate, a 4-byte id per
+        # output and the one n/2-operand XOR: about 10 B/gate, where a
+        # label and a tuple per output made it about 31 and a tuple per
+        # gate about 110
         tracemalloc.start()
         try:
             c = synthesize(20000)
@@ -369,7 +416,7 @@ class TestLayout:
         finally:
             tracemalloc.stop()
         gates = len(c.gates)
-        assert held / gates < 48, held / gates
+        assert held / gates < 16, held / gates
 
 
 class TestAndCount:

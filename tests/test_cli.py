@@ -118,6 +118,24 @@ def test_no_library_path_reads_the_gate_tuples(monkeypatch, tmp_path):
     assert json.loads((tmp_path / "c.json").read_text())["and_count"] == 15
 
 
+def test_no_library_path_reads_the_output_pairs(monkeypatch, tmp_path):
+    # Circuit.outputs builds a (label, id) tuple per output on every call;
+    # every command and the Bristol-to-JSON conversion must read the ids array
+    def refuse(self):
+        raise AssertionError("Circuit.outputs was read")
+
+    monkeypatch.setattr(Circuit, "outputs", property(refuse))
+    for fmt in ("bristol", "dot", "json"):
+        assert cli(["synth", "--n", "9", "--format", fmt, "--out", str(tmp_path / fmt)]) == 0
+    for argv in (["verify", "--n", "9", "--mode", "exhaustive"],
+                 ["verify", "--n", "9", "--mode", "sample", "--samples", "100"],
+                 ["stats", "--n", "9"], ["lemmas", "--max-n", "6"]):
+        assert cli(argv) == 0, argv
+    circuit = import_bristol((tmp_path / "bristol").read_text())
+    write_text_atomic(str(tmp_path / "c.json"), export_json(circuit))
+    assert json.loads((tmp_path / "c.json").read_text())["outputs"][-1]["label"] == "o9"
+
+
 class TestVerifyCommand:
     def test_exhaustive_pass(self):
         assert cli(["verify", "--n", "10", "--construction", "optimal",
@@ -333,13 +351,14 @@ class TestStreamingMemory:
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB")
 def test_synth_peaks_near_the_packed_circuit(tmp_path):
-    # about 10 B of gate arrays per gate plus the outputs: writing the
-    # n = 50000 circuit's Bristol text peaks about 19 MiB over the imports,
-    # where tuple gates took about 44
+    # about 9 B of gate arrays per gate and a 4-byte id per output: writing
+    # the n = 50000 circuit's Bristol text peaks about 11 MiB over the
+    # imports, where a label and a tuple per output took about 19 and tuple
+    # gates about 44
     import_only = _child_peak_mib(["-c", "import xagsynth.cli"])
     peak = _child_peak_mib(["-m", "xagsynth.cli", "synth", "--n", "50000", "--format", "bristol",
                             "--out", str(tmp_path / "c")])
-    assert peak - import_only <= 24, (peak, import_only)
+    assert peak - import_only <= 16, (peak, import_only)
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB")

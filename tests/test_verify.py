@@ -347,8 +347,7 @@ class TestMutationSensitivity:
     @pytest.mark.parametrize("n", range(3, 9))
     def test_every_single_tap_mutation_detected(self, n):
         plan = synthesize_plan(n, OPTIMAL)
-        for k in range(n):
-            current = plan.circuit.outputs[k][1]
+        for k, (_, current) in enumerate(plan.circuit.outputs):
             for node in plan.stage2_nodes:
                 if node == current:
                     continue
