@@ -3,25 +3,23 @@
 A circuit is an append-only DAG: its inputs, then gates over the basis
 {AND, XOR, NOT}, in which a constant 1 is NOT(XOR(x, x)). Gate ids are dense
 and assigned in creation order, and every gate's operands have strictly
-smaller ids, so id order is a topological order. AND gates are binary; XOR
-gates take two or more operands, and only the Bristol writer in
-:mod:`xagsynth.io_formats` lowers them to binary chains; NOT is x XOR 1 and
-never counts toward the AND total.
+smaller ids, so id order is a topological order. AND and XOR gates are
+binary, as in Bristol Fashion; NOT is x XOR 1 and never counts toward the
+AND total.
 
-Layout: gates sit in packed arrays, not one tuple per gate. Gate g has a
-kind byte (0 input, 4 two-operand XOR, 8 AND, 16 NOT, 32 XOR of three or
-more operands) and two signed 4-byte operand slots, 0 where unused; a wider
-XOR's operands sit in a small dict by gate id. A circuit of arity n starts
-with its n inputs, so input x_v is gate v - 1, as in Bristol Fashion where
-inputs are wires 0..n-1; every later gate has kind AND, XOR or NOT. Output
-gate ids sit in an array beside their labels, strs or numbered by index.
-:attr:`Circuit.gates` and :attr:`Circuit.outputs` build tuples on each read;
-no library path reads either.
+Layout: gates sit in packed arrays. Gate g has a kind byte (0 input, 4 XOR,
+8 AND, 16 NOT) and two signed 4-byte operand slots, 0 where unused. A
+circuit of arity n starts with its n inputs, so input x_v is gate v - 1, as
+in Bristol Fashion where inputs are wires 0..n-1; every later gate has kind
+AND, XOR or NOT. Output gate ids sit in an array beside their labels, strs
+or numbered by index. :attr:`Circuit.gates` and :attr:`Circuit.outputs`
+build tuples on each read; no library path reads either.
 
-The builder appends a gate per ``and_``, ``xor`` or ``not_`` call and a run
-of a repeated AND/XOR pattern per ``run`` call, and performs no algebraic
-rewriting: what you build is what you get, and correctness is checked by
-the independent oracles in :mod:`xagsynth.verify`.
+The builder appends a gate per ``and_`` or ``not_`` call, a left-associated
+chain of XORs per ``xor`` call and a run of a repeated AND/XOR pattern per
+``run`` call. It performs no algebraic rewriting: what you build is what
+you get, and correctness is checked by the independent oracles in
+:mod:`xagsynth.verify`.
 
 Evaluation is bit-parallel: every wire is a wide Python int holding one bit
 per evaluation point, so a full 2^n-point truth table costs one pass over the
@@ -30,11 +28,9 @@ gate list.
 
 from __future__ import annotations
 
-import sys
 from array import array
-from functools import reduce
 from itertools import chain, compress, count, islice, product
-from operator import countOf, lt, xor
+from operator import countOf, lt
 from typing import Iterable, Iterator, Sequence
 
 from .bitops import full_mask, variable_column
@@ -46,20 +42,21 @@ AND = "AND"
 XOR = "XOR"
 NOT = "NOT"
 
-# Operand counts allowed for each kind that may follow the inputs.
-_OPERAND_COUNTS = {AND: range(2, 3), XOR: range(2, sys.maxsize), NOT: range(1, 2)}
-_CODES = {XOR: 4, AND: 8, NOT: 16}  # kind byte; an XOR of three or more operands is 32
-_KINDS = {0: INPUT, 4: XOR, 8: AND, 16: NOT, 32: XOR}
+# Operand count of each kind that may follow the inputs.
+_OPERAND_COUNTS = {AND: 2, XOR: 2, NOT: 1}
+_CODES = {XOR: 4, AND: 8, NOT: 16}  # kind byte
+_KINDS = {0: INPUT, 4: XOR, 8: AND, 16: NOT}
 _ID_LIMIT = (1 << 31) - 1  # largest gate id an operand slot holds
 
 
 class CircuitBuilder:
     """Single-owner, append-only builder; call :meth:`finish` to freeze a Circuit.
 
-    A new builder holds the inputs: x_v is gate v - 1. Each of
-    :meth:`and_`, :meth:`xor` and :meth:`not_` appends one gate and returns
-    its id, the next dense id, and :meth:`run` a repeated pattern of them; a
-    construction that wants a node reused keeps its id and passes it again.
+    A new builder holds the inputs: x_v is gate v - 1. Each of :meth:`and_`
+    and :meth:`not_` appends one gate and returns its id, the next dense id;
+    :meth:`xor` appends a chain of two-operand XORs and :meth:`run` a
+    repeated pattern of AND and XOR gates. A construction that wants a node
+    reused keeps its id and passes it again.
     """
 
     def __init__(self, arity: int):
@@ -70,7 +67,6 @@ class CircuitBuilder:
         self.arity = arity
         self._kinds = bytearray(arity)
         self._first, self._second = array("i", [0]) * arity, array("i", [0]) * arity
-        self._wide: dict[int, array] = {}
         self.and_gates_created = 0
 
     def and_(self, a: int, b: int) -> int:
@@ -84,19 +80,13 @@ class CircuitBuilder:
         return gid
 
     def xor(self, *operands: int) -> int:
+        """XOR(o1, o2), then XOR(that, o3) and so on: one gate per operand past
+        the first, left-associated. Returns the last id."""
         if len(operands) < 2:
             raise ValueError("XOR needs at least 2 operands")
         gid = len(self._kinds)
-        for o in operands:
-            if not 0 <= o < gid:
-                raise ValueError(f"unknown gate id {o}")
-        if len(operands) > 2:
-            self._wide[gid] = array("i", operands)
-        a, b = operands if len(operands) == 2 else (0, 0)
-        self._kinds.append(4 if len(operands) == 2 else 32)
-        self._first.append(a)
-        self._second.append(b)
-        return gid
+        chained = [operands[0], *range(gid, gid + len(operands) - 2)]
+        return self.run([XOR], [chained], [operands[1:]], len(operands) - 1)[-1]
 
     def run(self, pattern: Sequence[str], firsts: Sequence[Sequence[int]],
             seconds: Sequence[Sequence[int]], count: int) -> range:
@@ -130,40 +120,44 @@ class CircuitBuilder:
         return gid
 
     def finish(self, outputs: Iterable[tuple[str, int]]) -> "Circuit":
-        """A Circuit of copies of the arrays; ``outputs`` is read once, as pairs."""
+        """A Circuit of copies of the arrays, so the builder stays usable;
+        ``outputs`` is read once, as pairs."""
         pairs = tuple(outputs)
-        return self._finish(tuple(label for label, _ in pairs), [gid for _, gid in pairs])
+        return self._finish(tuple(label for label, _ in pairs), [gid for _, gid in pairs],
+                            (bytes(self._kinds), self._first[:], self._second[:]))
 
-    def _finish(self, labels: Iterable[str], ids: Sequence[int]) -> "Circuit":
-        """:meth:`finish` for the labels and the output gate ids apart."""
+    def _finish(self, labels: Iterable[str], ids: Sequence[int],
+                gates: tuple | None = None) -> "Circuit":
+        """:meth:`finish` for the labels and the output gate ids apart. Without
+        ``gates`` the circuit takes the builder's own arrays, not copies, and
+        the builder must not be used again."""
         known = len(self._kinds)
         if ids and not (min(ids) >= 0 and max(ids) < known):
             raise ValueError(f"unknown gate id {next(g for g in ids if not 0 <= g < known)}")
-        return Circuit(self.arity, (), (), _arrays=(
-            bytes(self._kinds), self._first[:], self._second[:], dict(self._wide), labels,
-            array("i", ids)))
+        gates = gates or (self._kinds, self._first, self._second)
+        return Circuit(self.arity, (), (), _arrays=(*gates, labels, array("i", ids)))
 
 
-def _pack(n: int, gates: Iterable[tuple]) -> tuple[bytearray, array, array, dict[int, array]]:
-    """(kinds, first operands, second operands, wider XORs) of ``(kind, *operand
-    ids)`` tuples. A gate the layout cannot hold is refused with the message
+def _pack(n: int, gates: Iterable[tuple]) -> tuple[bytearray, array, array]:
+    """(kinds, first operands, second operands) of ``(kind, *operand ids)``
+    tuples. A gate the layout cannot hold is refused with the message
     :meth:`Circuit.validate` gives for it; operand order is left to validate."""
-    kinds, first, second, wide = bytearray(), array("i"), array("i"), {}
+    if n < 1:
+        raise ValueError("arity must be at least 1")
+    kinds, first, second = bytearray(), array("i"), array("i")
     for gid, (kind, *ops) in enumerate(gates):
         if gid < n and (kind != INPUT or ops):
             raise ValueError(f"gates 0..{n - 1} must be the inputs x1..x{n}")
         if gid >= n and kind not in _OPERAND_COUNTS:
             raise ValueError(f"gate {gid}: kind {kind!r} cannot follow the {n} inputs")
-        if gid >= n and len(ops) not in _OPERAND_COUNTS[kind]:
+        if gid >= n and len(ops) != _OPERAND_COUNTS[kind]:
             raise ValueError(f"gate {gid}: wrong operand count {len(ops)} for {kind}")
         if max(map(abs, ops), default=0) > _ID_LIMIT:  # an array would raise OverflowError
             raise ValueError(f"gate {gid}: operand ids past {_ID_LIMIT} do not fit 4 bytes")
-        if len(ops) > 2:
-            wide[gid], ops = array("i", ops), []
-        kinds.append(32 if gid in wide else _CODES.get(kind, 0))
+        kinds.append(_CODES.get(kind, 0))
         first.append((ops + [0])[0])
         second.append((ops + [0, 0])[1])
-    return kinds, first, second, wide
+    return kinds, first, second
 
 
 class _Numbered:
@@ -179,8 +173,7 @@ class _Numbered:
 class Circuit:
     """Immutable gate DAG with labeled outputs; safe to share across threads."""
 
-    __slots__ = ("arity", "_kinds", "_first", "_second", "_wide", "_labels", "_ids", "_walk",
-                 "_last")
+    __slots__ = ("arity", "_kinds", "_first", "_second", "_labels", "_ids", "_walk", "_last")
 
     def __init__(self, arity: int, gates: Iterable[tuple], outputs: Iterable[tuple[str, int]],
                  *, _arrays: tuple | None = None):
@@ -193,18 +186,17 @@ class Circuit:
                     raise ValueError(f"output {label!r} references unknown gate {gid}")
             _arrays += (tuple(label for label, _ in pairs), array("i", [g for _, g in pairs]))
         self.arity = arity
-        self._kinds, self._first, self._second, self._wide, self._labels, self._ids = _arrays
+        self._kinds, self._first, self._second, self._labels, self._ids = _arrays
         self._walk: tuple[bytearray, int] | None = None  # filled by _structure() or _drop_plan()
-        self._last: tuple[bytes, dict] | None = None  # filled by _drop_plan()
+        self._last: bytes | None = None  # filled by _drop_plan()
 
     def __len__(self) -> int:  # the gate count, inputs included
         return len(self._kinds)
 
     def _rows(self) -> Iterator[tuple[str, Sequence[int]]]:
         """(kind, operand ids) of every gate in id order, read off the arrays."""
-        for gid, k, a, b in zip(count(), self._kinds, self._first, self._second):
-            ops = (a, b) if k & 12 else self._wide[gid] if k == 32 else (a,) if k else ()
-            yield _KINDS[k], ops
+        for k, a, b in zip(self._kinds, self._first, self._second):
+            yield _KINDS[k], (a, b) if k & 12 else (a,) if k else ()
 
     @property
     def gates(self) -> tuple[tuple, ...]:
@@ -218,14 +210,12 @@ class Circuit:
 
     def validate(self) -> None:
         """Check structural invariants; used on import and in tests."""
-        n, kinds, wide = self.arity, self._kinds, self._wide
+        n, kinds = self.arity, self._kinds
         if len(kinds) < n:
             raise ValueError(f"gates 0..{n - 1} must be the inputs x1..x{n}")
         for gid, a, b in zip(range(n, len(kinds)), self._first[n:], self._second[n:]):
-            if not (0 <= a < gid and 0 <= b < gid) or gid in wide:  # a wider XOR's slots hold 0
-                for o in wide.get(gid, (a, b)):
-                    if not 0 <= o < gid:
-                        raise ValueError(f"gate {gid}: operand {o} not before gate")
+            if not (0 <= a < gid and 0 <= b < gid):  # a NOT's second slot holds 0
+                raise ValueError(f"gate {gid}: operand {b if 0 <= a < gid else a} not before gate")
         for label, gid in zip(self._labels, self._ids):
             if not 0 <= gid < len(kinds):
                 raise ValueError(f"output {label!r} references unknown gate {gid}")
@@ -239,17 +229,12 @@ class Circuit:
             kinds, mark = self._kinds, bytearray(len(self._kinds))
             for gid in self._ids:
                 mark[gid] = 1
-            gates = zip(count(len(kinds) - 1, -1), reversed(kinds), reversed(self._first),
-                        reversed(self._second))
+            gates = zip(reversed(kinds), reversed(self._first), reversed(self._second))
             # reversed(mark) reads each flag after the gate's readers (higher ids) ran
-            for gid, k, a, b in compress(islice(gates, len(kinds) - self.arity), reversed(mark)):
-                if k == 32:
-                    for o in self._wide[gid]:
-                        mark[o] = 1
-                else:  # a NOT's second slot holds 0, not an operand
-                    mark[a] = 1
-                    if k != 16:
-                        mark[b] = 1
+            for k, a, b in compress(islice(gates, len(kinds) - self.arity), reversed(mark)):
+                mark[a] = 1
+                if k != 16:  # a NOT's second slot holds 0, not an operand
+                    mark[b] = 1
             self._cache_structure(mark)
         return self._walk
 
@@ -266,38 +251,30 @@ class Circuit:
 
     # -- evaluation --------------------------------------------------------
 
-    def _drop_plan(self) -> tuple[bytes, dict[int, list[int]]]:
+    def _drop_plan(self) -> bytes:
         """Per non-input gate a flag byte, built on first evaluation and cached:
         0 for a dead gate, else its kind byte plus 1 to drop its first
-        operand's column after it and 2 its second's; a wider XOR lists the
-        operands it drops in the dict. Walking backward, the first reader met
-        is the last, and a gate still unread when met is dead and reads
-        nothing; outputs start out read. The final read flags fill _walk."""
+        operand's column after it and 2 its second's. Walking backward, the
+        first reader met is the last, and a gate still unread when met is dead
+        and reads nothing; outputs start out read. The final read flags fill
+        _walk."""
         if self._last is None:
             kinds, n = self._kinds, self.arity
             read = bytearray(len(kinds))  # 1 once an output or a later live gate reads it
             for gid in self._ids:
                 read[gid] = 1
-            drops, wide = bytearray(len(kinds) - n), {}  # 0 for each dead gate
+            drops = bytearray(len(kinds) - n)  # 0 for each dead gate
             gates = zip(count(len(kinds) - 1, -1), reversed(kinds), reversed(self._first),
                         reversed(self._second))
             for gid, k, a, b in compress(islice(gates, len(kinds) - n), reversed(read)):
-                if k & 12:  # AND or two-operand XOR: most gates
-                    if not read[a]:
-                        k |= 1
-                        read[a] = 1
-                    if not read[b]:
-                        k |= 2
-                        read[b] = 1
-                elif k == 16:  # NOT
-                    k |= not read[a]
+                if not read[a]:
+                    k |= 1
                     read[a] = 1
-                else:  # a repeated operand is listed, and dropped, twice
-                    ops = wide[gid] = [o for o in self._wide[gid] if not read[o]]
-                    for o in ops:
-                        read[o] = 1
+                if k & 12 and not read[b]:  # AND or XOR; a NOT has no second operand
+                    k |= 2
+                    read[b] = 1
                 drops[gid - n] = k
-            self._last = (bytes(drops), wide)
+            self._last = bytes(drops)
             if self._walk is None:
                 self._cache_structure(read)
         return self._last
@@ -316,17 +293,13 @@ class Circuit:
         if len(cols) != n:
             raise ValueError(f"expected {n} input columns, got {len(cols)}")
         ones = full_mask(width)
-        flags, wide = self._drop_plan()
         append = cols.append
-        for f, a, b in zip(flags, islice(self._first, n, None), islice(self._second, n, None)):
-            if f & 12:  # AND or two-operand XOR: most gates
+        for f, a, b in zip(self._drop_plan(), islice(self._first, n, None),
+                           islice(self._second, n, None)):
+            if f & 12:  # AND or XOR: most gates
                 v = cols[a] & cols[b] if f & 8 else cols[a] ^ cols[b]
-            elif f & 16:  # NOT
+            elif f:  # NOT
                 v = cols[a] ^ ones
-            elif f:  # XOR of three or more operands
-                v = reduce(xor, [cols[o] for o in self._wide[len(cols)]])
-                for o in wide[len(cols)]:
-                    cols[o] = None
             else:  # dead
                 append(None)
                 continue

@@ -11,10 +11,9 @@ Bristol Fashion dialect emitted here (see README for the byte-exact rules):
 
 Only binary AND/XOR and unary INV appear, and every gate line defines one new
 wire: line k (from 0) writes wire n + k. Line 0 is the shared zero wire
-XOR(w0, w0), wide XOR gates are lowered to left-associated chains, and every
-output is copied onto its final wire with XOR against the zero wire. None of
-the lowering adds AND gates, so the AND line count equals the circuit's
-reachable AND count.
+XOR(w0, w0), then one line per reachable gate, and every output is copied
+onto its final wire with XOR against the zero wire. Neither addition is an
+AND, so the AND line count equals the circuit's reachable AND count.
 """
 
 from __future__ import annotations
@@ -59,24 +58,18 @@ def _write_joined(fh: TextIO, items: Iterable[str], sep: str, lead: str = "") ->
 
 
 def _bristol_lines(circuit: Circuit, live: bytearray) -> Iterator[str]:
-    """The gate lines of the lowering, over the gates flagged in ``live``."""
-    n, kinds, wide = circuit.arity, circuit._kinds, circuit._wide
+    """The gate lines, over the gates flagged in ``live``."""
+    n, kinds = circuit.arity, circuit._kinds
     # gate id -> wire, input x_v is wire v - 1; an array holds no int objects
     wire_of = array("q", range(n)) + array("q", [-1]) * (len(kinds) - n)
     zero = n  # defined by line 0; read by the output copies
     yield f"2 1 0 0 {zero} XOR"
     w = n + 1  # the wire the next line writes
     for gid, k, a, b in compress(zip(count(), kinds, circuit._first, circuit._second), live):
-        if k & 12:  # AND or two-operand XOR: most gates
+        if k & 12:  # AND or XOR: most gates
             yield f"2 1 {wire_of[a]} {wire_of[b]} {w} {_KINDS[k]}"
-        elif k == 16:
+        else:  # NOT
             yield f"1 1 {wire_of[a]} {w} INV"
-        else:  # XOR of three or more operands, lowered left-associated
-            a, *ops = (wire_of[o] for o in wide[gid])
-            for o in ops[:-1]:
-                yield f"2 1 {a} {o} {w} XOR"
-                a, w = w, w + 1
-            yield f"2 1 {a} {ops[-1]} {w} XOR"
         wire_of[gid] = w
         w += 1
     for gid in circuit._ids:
@@ -92,8 +85,7 @@ def write_bristol(circuit: Circuit, fh: TextIO) -> None:
     n, outs = circuit.arity, len(circuit._ids)
     live = circuit.reachable()
     live[:n] = bytes(n)  # the inputs are wires, not lines
-    # zero wire + one line per live gate and (operands - 2) more per wider XOR + output copies
-    lines = 1 + sum(live) + outs + sum(len(o) - 2 for g, o in circuit._wide.items() if live[g])
+    lines = 1 + sum(live) + outs  # zero wire, one line per live gate, output copies
     fh.write(f"{lines} {n + lines}\n1 {n}\n{outs} {' '.join(['1'] * outs)}\n\n")
     _write_joined(fh, _bristol_lines(circuit, live), "\n")
     fh.write("\n")
@@ -209,8 +201,8 @@ def import_bristol(text: str) -> Circuit:
     ids = array("i", [gate_of.get(w, -1) for w in out_wires])  # -1: never driven
     if -1 in ids:
         raise BristolFormatError(f"output wire {out_wires[ids.index(-1)]} is never driven")
-    circuit = Circuit(n_inputs, (), (), _arrays=(kinds, first, second, {},
-                                                 _Numbered("o", len(ids)), ids))
+    labels = _Numbered("o", len(ids))
+    circuit = Circuit(n_inputs, (), (), _arrays=(kinds, first, second, labels, ids))
     circuit.validate()
     return circuit
 
@@ -245,16 +237,13 @@ def write_json(circuit: Circuit, fh: TextIO, construction: str | None = None) ->
     """The circuit as the JSON document that ``json.dumps`` with ``indent=2``
     writes, byte for byte, built without json's pure-Python indent encoder;
     only the free-text values pass through ``json.dumps``."""
-    n, wide, sep = circuit.arity, circuit._wide, ",\n        "
+    n, sep = circuit.arity, ",\n        "
     fh.write(f'{{\n  "arity": {n},\n  "construction": {json.dumps(construction)},\n'
              f'  "and_count": {circuit.and_count()},\n  "gates": [')
     inputs = (f'    {{\n      "id": {gid},\n      "kind": "INPUT",\n      "var": {gid + 1}\n    }}'
               for gid in range(n))
-    # two-operand gates, most gates, format both operands in place
     others = (f'    {{\n      "id": {gid},\n      "kind": "{_KINDS[k]}",\n      "operands": [\n'
-              f'        {a},\n        {b}\n      ]\n    }}' if k & 12 else
-              f'    {{\n      "id": {gid},\n      "kind": "{_KINDS[k]}",\n      "operands": [\n'
-              f'        {sep.join(map(str, wide[gid] if k == 32 else [a]))}\n      ]\n    }}'
+              f'        {a}{f"{sep}{b}" if k & 12 else ""}\n      ]\n    }}'
               for gid, k, a, b in islice(zip(count(), circuit._kinds, circuit._first,
                                              circuit._second), n, None))
     outputs = (f'    {{\n      "label": {json.dumps(label)},\n      "id": {gid}\n    }}'

@@ -93,8 +93,8 @@ def _build_optimal(builder: CircuitBuilder, n: int):
         stage2.append(and_(previous, 2 * n - 3))
     c2 = builder.and_gates_created
 
-    # stage 3, XOR only: f_1 is sigma_n XOR the even-indexed pair products (XOR
-    # the direct last output when n is even); f_{k+1} = XOR(f_k, s_k) is gate f_1 + k
+    # stage 3, XOR only: f_1 is the XOR chain of sigma_n, the direct last output when
+    # n is even, and the even-indexed pair products; f_{k+1} = XOR(f_k, s_k) is gate f_1 + k
     f1 = xor(*([sigma] if odd else [sigma, stage2[-1]]), *stage2[1::2])
     s = stage2 if odd else stage2[:-1]
     outputs = [f1, *run([XOR], [range(f1, f1 + len(s))], [s], len(s)), *stage2[len(s):]]

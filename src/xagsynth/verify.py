@@ -246,9 +246,9 @@ def gate_anfs(circuit: Circuit) -> list[Anf]:
     """The exact ANF of every gate, in id order, by :class:`Anf` arithmetic.
 
     An oracle that shares no code with :meth:`Circuit.output_columns`:
-    input x_v is the variable itself, AND is a product, XOR the sum of its
-    operands and NOT adds the constant 1. Every gate is walked, dead ones
-    too, and a polynomial may grow exponentially with the circuit's depth.
+    input x_v is the variable itself, AND is a product, XOR a sum and NOT
+    adds the constant 1. Every gate is walked, dead ones too, and a
+    polynomial may grow exponentially with the circuit's depth.
     """
     n = circuit.arity
     anfs = [Anf.linear(n, [v]) for v in range(1, n + 1)]
@@ -256,7 +256,7 @@ def gate_anfs(circuit: Circuit) -> list[Anf]:
         if kind == AND:
             anfs.append(anfs[ops[0]] * anfs[ops[1]])
         elif kind == XOR:
-            anfs.append(sum((anfs[o] for o in ops[1:]), anfs[ops[0]]))
+            anfs.append(anfs[ops[0]] + anfs[ops[1]])
         else:  # NOT
             anfs.append(anfs[ops[0]] + Anf(n, [0]))
     return anfs

@@ -23,8 +23,8 @@ def sigma3_builder():
 
 
 def every_branch_circuit():
-    """AND(a, a), XOR(a, a), a three-operand XOR, NOT, a dead gate and an
-    output that a later gate reads."""
+    """AND(a, a), XOR(a, a), three-operand XOR chains, NOT, a dead gate and
+    an output that a later gate reads."""
     b = CircuitBuilder(3)
     x1, x2, x3 = 0, 1, 2
     sq = b.and_(x1, x1)
@@ -77,6 +77,15 @@ class TestBuilder:
         with pytest.raises(ValueError):
             b.xor(x1)
 
+    def test_xor_of_three_is_a_left_associated_chain(self):
+        b = CircuitBuilder(3)
+        before = builder_state(b)
+        with pytest.raises(ValueError, match="^unknown gate id 9$"):
+            b.xor(2, 0, 9)
+        assert builder_state(b) == before
+        assert b.xor(2, 0, 1) == 4
+        assert b.finish([("y", 4)]).gates[3:] == (("XOR", 2, 0), ("XOR", 3, 1))
+
     @pytest.mark.parametrize("bad", [10_003, -1])
     def test_finish_names_a_bad_output_id_last_of_many(self, bad):
         b = CircuitBuilder(3)
@@ -106,8 +115,7 @@ class TestBuilder:
 
 
 def builder_state(b):
-    return (bytes(b._kinds), b._first.tobytes(), b._second.tobytes(),
-            {g: ops.tobytes() for g, ops in b._wide.items()}, b.and_gates_created)
+    return bytes(b._kinds), b._first.tobytes(), b._second.tobytes(), b.and_gates_created
 
 
 class TestRun:
@@ -297,7 +305,7 @@ class TestEval:
         from xagsynth import synthesize
         b = CircuitBuilder(3)
         x1, x2, x3 = 0, 1, 2
-        wide = b.xor(x1, x2, b.not_(x3))  # dead, like the NOT it reads
+        wide = b.xor(x1, x2, b.not_(x3))  # a dead chain, like the NOT it reads
         b.and_(wide, x1)  # dead
         b.and_(x1, x3)  # dead
         y = b.xor(b.and_(x1, x2), x2)
@@ -314,7 +322,7 @@ class TestEval:
             for t in range(64):
                 bits = [(col >> t) & 1 for col in columns]
                 assert [(col >> t) & 1 for col in got] == naive_eval(c.gates, c.outputs, bits)
-        assert hand.reachable() == bytearray([1, 1, 0, 0, 0, 0, 0, 1, 1])
+        assert hand.reachable() == bytearray([1, 1, 0, 0, 0, 0, 0, 0, 1, 1])
 
     def test_input_columns_may_be_a_generator(self):
         from xagsynth import synthesize
@@ -344,21 +352,21 @@ class TestEval:
 
 class TestLayout:
     def test_every_branch_circuit_arrays(self):
-        # kind bytes 0 input, 4 two-operand XOR, 8 AND, 16 NOT, 32 wider XOR;
-        # a NOT's second slot and a wider XOR's slots hold 0
+        # kind bytes 0 input, 4 XOR, 8 AND, 16 NOT; a NOT's second slot holds
+        # 0. Each three-operand xor is a chain: XOR(x1, x2) = 5, XOR(5, x3) = 6
+        # and XOR(sq, zero) = 9, XOR(9, x3) = 10
         c = every_branch_circuit()
-        assert list(c._kinds) == [0, 0, 0, 8, 4, 32, 8, 16, 32, 8, 4]
-        assert list(c._first) == [0, 0, 0, 0, 1, 0, 5, 5, 0, 7, 5]
-        assert list(c._second) == [0, 0, 0, 0, 1, 0, 2, 0, 0, 8, 9]
-        assert {gid: list(ops) for gid, ops in c._wide.items()} == {5: [0, 1, 2], 8: [3, 4, 2]}
-        assert len(c) == len(c.gates) == 11
+        assert list(c._kinds) == [0, 0, 0, 8, 4, 4, 4, 8, 16, 4, 4, 8, 4]
+        assert list(c._first) == [0, 0, 0, 0, 1, 0, 5, 6, 6, 3, 9, 8, 6]
+        assert list(c._second) == [0, 0, 0, 0, 1, 1, 2, 2, 0, 4, 2, 10, 11]
+        assert list(c._ids) == [6, 11, 4, 12]
+        assert len(c) == len(c.gates) == 13
 
     def test_packing_round_trips_the_gate_tuples(self):
         for c in (every_branch_circuit(), synthesize(9), synthesize(8, BASELINE)):
             again = Circuit(c.arity, c.gates, c.outputs)
             assert again.gates == c.gates and again.outputs == c.outputs
-            assert (again._kinds, again._first, again._second, again._wide) == \
-                (c._kinds, c._first, c._second, c._wide)
+            assert (again._kinds, again._first, again._second) == (c._kinds, c._first, c._second)
 
     def test_gates_view_is_built_per_call(self):
         c = synthesize(5)
@@ -366,9 +374,9 @@ class TestLayout:
 
     def test_outputs_view(self):
         # synthesized circuits label their outputs f_1..f_n from the index
-        # (repr sha256 recorded when each output held its own label and
-        # tuple), imported ones o1..ok, and constructor-built ones keep
-        # their labels, repeated or in need of escaping
+        # (repr sha256 recorded since XORs have two operands), imported ones
+        # o1..ok, and constructor-built ones keep their labels, repeated or
+        # in need of escaping
         h = hashlib.sha256()
         for n in (3, 4, 1001):
             for construction in (OPTIMAL, BASELINE):
@@ -378,7 +386,7 @@ class TestLayout:
                 assert len(c.outputs) == n
                 assert [label for label, _ in outputs] == [f"f_{i}" for i in range(1, n + 1)]
                 h.update(repr(outputs).encode())
-        assert h.hexdigest() == "d69133f7561dd09180b62dba6a5227eb2a670585e6e4a138e6bfc35ffbc819e7"
+        assert h.hexdigest() == "7ea099438ee7eaf279c6d98c8b4c5c3a80fdcd072fd5a4bb6e373c04093eacbc"
         # an imported circuit's outputs are its last wires, one per output copy
         doc = export_bristol(synthesize(1001))
         nwires = int(doc.split()[1])
@@ -391,7 +399,7 @@ class TestLayout:
         assert c.outputs == pairs and c.outputs is not c.outputs and len(c.outputs) == 6
 
     @pytest.mark.parametrize("gate", [("AND", 0, 1 << 31), ("XOR", 0, -(1 << 40)),
-                                      ("XOR", 0, 1, 1 << 31), ("NOT", 1 << 63)])
+                                      ("XOR", 1 << 31, 1), ("NOT", 1 << 63)])
     def test_operand_past_four_bytes_refused(self, gate):
         # an operand that does not fit the 4-byte slots is refused, never wrapped
         with pytest.raises(ValueError, match=f"^gate 2: operand ids past {(1 << 31) - 1} "
@@ -405,10 +413,8 @@ class TestLayout:
             Circuit(2, (("INPUT",), ("INPUT",)), (("x", 1), ("y", gid))).validate()
 
     def test_memory_per_gate(self):
-        # one kind byte and two 4-byte operands per gate, a 4-byte id per
-        # output and the one n/2-operand XOR: about 10 B/gate, where a
-        # label and a tuple per output made it about 31 and a tuple per
-        # gate about 110
+        # one kind byte and two 4-byte operands per gate and a 4-byte id
+        # per output: about 10 B/gate
         tracemalloc.start()
         try:
             c = synthesize(20000)
@@ -499,8 +505,8 @@ class TestStructure:
 
     @pytest.mark.parametrize("gates,message", [
         ([("AND", 0, 1), ("XOR", 0, 5), ("AND", 9, 0)], "gate 3: operand 5 not before gate"),
-        ([("XOR", 0, 1, 3), ("AND", 0, 7)], "gate 2: operand 3 not before gate"),
-        ([("AND", 0, 1), ("XOR", 0, 1, 2, 8)], "gate 3: operand 8 not before gate"),
+        ([("XOR", 0, 3), ("AND", 0, 7)], "gate 2: operand 3 not before gate"),
+        ([("AND", 0, 1), ("XOR", 2, 8)], "gate 3: operand 8 not before gate"),
         ([("AND", 0, 1), ("NOT", -4), ("AND", 0, -1)], "gate 3: operand -4 not before gate"),
         ([("AND", 0, 1), ("XOR", 1, -2)], "gate 3: operand -2 not before gate"),
         ([("AND", 2, 0)], "gate 2: operand 2 not before gate"),
@@ -509,6 +515,15 @@ class TestStructure:
         c = Circuit(2, [("INPUT",), ("INPUT",), *gates], (("y", 0),))
         with pytest.raises(ValueError, match=f"^{message}$"):
             c.validate()
+
+    @pytest.mark.parametrize("arity,gates,message", [
+        (3, [("INPUT",)] * 3 + [("XOR", 0, 1, 2)], "gate 3: wrong operand count 3 for XOR"),
+        (0, [], "arity must be at least 1"),  # the builder's message
+        (-2, [], "arity must be at least 1"),
+    ])
+    def test_constructor_refuses(self, arity, gates, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Circuit(arity, gates, ())
 
     def test_output_columns_rejects_wrong_column_count(self):
         from xagsynth import synthesize
@@ -608,11 +623,13 @@ class TestEvalAgreement:
     @given(random_circuits())
     @settings(max_examples=60, deadline=None)
     def test_bristol_header_counts_its_body(self, c):
-        # dead gates, wide XORs and repeated taps: the header's counts are
-        # those of the lines written, and line k writes wire n + k
+        # dead gates, XOR chains and repeated taps: the header's counts are
+        # those of the lines written, line k writes wire n + k, and the writer
+        # adds only the zero wire and the output copies to the live gates
         header, _, _, _, *body = export_bristol(c).splitlines()
         ngates, nwires = map(int, header.split())
         assert ngates == len(body) and nwires == c.arity + ngates
+        assert ngates == 1 + sum(c.reachable()[c.arity:]) + len(c.outputs)
         assert [int(line.split()[-2]) for line in body] == \
             list(range(c.arity, c.arity + ngates))
 

@@ -218,8 +218,8 @@ class TestStatsCommand:
 
     @pytest.mark.parametrize("n,digest", [
         (3, "97820e5900be4702dcdf8c05b24f1ca8a1c002bfc5991a08622d4c823732d3a8"),
-        (6, "e6e24c761e556438d0b8c3b548fdc6c209061e24872d0988e564f06494a0015b"),
-        (1001, "ea0f2e1f743e10f0680a4ce8e0509b50955ad788d2d16da7897804fbcb3a3e3c"),
+        (6, "7a53d802be46f28bdafee31f7e6a598f5894413ca5addc6deb6008ba590a86e0"),
+        (1001, "41ff822e9c94d4d281efcfb7aeb4f843e4330f73a208340d1d5a11fded171bce"),
     ])
     def test_stdout_bytes_pinned(self, capsys, n, digest):
         # every line, the gate counts of both constructions included

@@ -1,8 +1,10 @@
 import hashlib
+import importlib.util
 import json
 import re
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -29,21 +31,22 @@ def and_lines(doc):
     return [l for l in doc.splitlines() if l.endswith(" AND")]
 
 
-# sha256 of export_bristol and export_dot of synthesize(n, c), recorded when
-# input gates still carried their variable as ("INPUT", v)
+# sha256 of export_bristol and export_dot of synthesize(n, c). The Bristol
+# digests were recorded when input gates still carried their variable as
+# ("INPUT", v); the optimal DOT digests for n >= 4 since XORs have two operands
 _PINNED_BRISTOL_DOT = [
     (3, OPTIMAL, "ade57c7cbf445607f3f2a1bd95b165b07c977b9fa946b3e1e5f8a9147df38050",
      "b312ffc917cdf582d4393cc9a16a43df92b8aeeee5551719e4c16fb95ae7320c"),
     (4, OPTIMAL, "38497ad7b66ba69d2884d4dc3a30d1fa62b4a1a21306a15831764e199f175b67",
-     "40f5745372c32de112b13a6cca73c7d31fae18dd894671998f9f31ce198153f3"),
+     "3bd62e40bb5f91ef4ca9e80b2dc306320a2fbacb11f970b56ee6c4195f8c988f"),
     (5, OPTIMAL, "a839e643a9c0d9d0b1bd0055c743684d0fc365dc3c15fa6e90d914de4423def8",
-     "377a755e00583997189471a8c55d057590c97fa0d7e5e468870042ea614cec9e"),
+     "8de340d47bc91dbe1d2a2ebdb5e8f118d74f592977beded37b83be4f8e848472"),
     (6, OPTIMAL, "b7266944e22c58556112aff8958f799e11a6bb486639203e062e9ebef3f69c83",
-     "6aaeab60508c5a1549eb436dd2f6e2e7417b73b5bfa52c0c9b8e22df3604d97d"),
+     "e7952b5bbfbf94aae6f3592c93e8b51626e311fb0ac2f45241715567f207b8cc"),
     (37, OPTIMAL, "5dd27b71e08f655cf8f29d70f582edb523b825bf1ba5a0b0fb4b18981b768c7e",
-     "3769720fca3a814d87d8ba1609d8bb21a505f3510bf80bf2f93d2c55978d4759"),
+     "e847c73fb9b0358c74dc0e93a1d0e4f622b589b27dd39795e55755eab6e45ff9"),
     (1000, OPTIMAL, "f0d4b1461dfd2fcc9a4787887163b790e679b0f0c8e9d7198bcdf728ba2400c6",
-     "a9561d870f3d7893765fe01487f7f63bdbe5f946755cc027d3fb1fc263b11b3a"),
+     "e18f0f53726439227e2aa57fd0731774323ffa75986fdcfdc4edadde16d0dc63"),
     (3, BASELINE, "a2c3a27fbc4b175804aa04342b31b6d0b94f327b68eaf7a0f3fae91eb62fcec4",
      "55f6a2470003e44dab2b23cecad800b595f7c9e4af2fce9f1331ea3b9fc3db1d"),
     (4, BASELINE, "c68d5ac254bbc748cb7c745aae639d7fa8439b8102e2959d0e308512ff652738",
@@ -95,9 +98,10 @@ class TestBristolExport:
         assert hashlib.sha256(export_dot(c).encode()).hexdigest() == dot
 
     # sha256 of the three exports of a hand-built circuit with a NOT, a
-    # 3-operand XOR, an unreachable AND, two outputs on one gate and one
-    # output on an input, recorded when the Bristol lowering still allocated
-    # wires through a counter
+    # three-operand xor chain, an unreachable AND, two outputs on one gate and one
+    # output on an input; the Bristol digest was recorded when the Bristol
+    # lowering still allocated wires through a counter, the JSON and DOT
+    # digests since XORs have two operands
     def test_hand_built_bytes_pinned(self):
         b = CircuitBuilder(3)
         n1 = b.not_(0)
@@ -108,8 +112,8 @@ class TestBristolExport:
                    for f in (export_bristol, export_json, export_dot)]
         assert digests == [
             "b8c2a9a7b72928a55bc9faf38af4a7ac4e93486dd31917c37bad9c3557f5f152",
-            "81d084b89094fd31151685a0c666abf26509ca4871ae393b4945747dd0600c67",
-            "e6d835e32a80f565202421fb4e532edc30d30fe30bc8aa25d61eb72840e931ce",
+            "ca82a55b0eddbaae6d622a6202c89afefec5b7da67658da832aa84e5eb974018",
+            "25bd6cab67d019a0ca336ceca10fb03eab45dbecc7eaf9eeb1d54a496f64102f",
         ]
 
     @pytest.mark.parametrize("chunk", [1, 2, 4096])
@@ -394,6 +398,29 @@ class TestDot:
         assert '  g2 [label="AND (a\\"b)"];' in lines
 
 
+def load_perfbench_checker():
+    """perfbench/checker.py, which never imports xagsynth, loaded by path."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "checker.py"
+    spec = importlib.util.spec_from_file_location("perfbench_checker", path)
+    checker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checker)
+    return checker
+
+
+class TestIndependentChecker:
+    @pytest.mark.parametrize("n", [4, 5, 64, 1001])
+    @pytest.mark.parametrize("construction", [OPTIMAL, BASELINE])
+    def test_accepts_the_exports(self, n, construction):
+        # the checker holds every circuit to 2n - 3 ANDs, so the baseline's
+        # 3n - 6 is the only problem it may find
+        checker = load_perfbench_checker()
+        c = synthesize(n, construction)
+        want = [] if construction == OPTIMAL else [
+            f"{3 * n - 6} AND gates, expected 2n-3 = {2 * n - 3}"]
+        assert checker.check_json(export_json(c, construction), n, seed=n) == want
+        assert checker.check_bristol(export_bristol(c), n, seed=n) == want
+
+
 class TestJson:
     def test_schema(self):
         import json
@@ -411,14 +438,16 @@ class TestJson:
         c = synthesize(4, BASELINE)
         assert export_json(c) == export_json(c)
 
-    # sha256 of export_json(synthesize(n, c), c), recorded from the json.dumps writer
+    # sha256 of export_json(synthesize(n, c), c), recorded from the json.dumps
+    # writer; the optimal digests for n >= 4 since XORs have two operands, and
+    # TestIndependentChecker holds those documents to the checker
     @pytest.mark.parametrize("n,construction,digest", [
         (3, OPTIMAL, "72aca4ecdd49e8a77f6c41b40cc0443fb565aa0895ca9aba455b7b48dd303b57"),
-        (4, OPTIMAL, "cec3ef0381b953fe14be191514a527301484de4595cb0e34374307fe6baf5322"),
-        (5, OPTIMAL, "534b19712668a351d6c64aab1423c72061fa779225ddbdc0cd21dff949e0fb51"),
-        (6, OPTIMAL, "60f0ffd0c52085898844da79211c54bca6bbee07f2eb9c95c959c1247b241120"),
-        (37, OPTIMAL, "e7c5fa0274235efaea3b0b442c20824823bb4e3da7e6fba342ae139f277cea0a"),
-        (1000, OPTIMAL, "d8476888f395d88fc17928fbd56ea1a72c51d52fd60a00f1f63eb249ddab80a6"),
+        (4, OPTIMAL, "87405cc3136f86c749b3418affb365947cfd6adaca71951b84bb4066e4c25003"),
+        (5, OPTIMAL, "c8ba1405d558f6d7f3b703355963a878e491bd2b089e073163c9dad307999ef8"),
+        (6, OPTIMAL, "937de7ded196c1b9c1afaec60dd9a077db3dd30543f2db007d926133e04b54d7"),
+        (37, OPTIMAL, "e0891e13dc19e858402e175f0aa83ab52fcc41de9b0b5ece712c8adc1eb0bfe9"),
+        (1000, OPTIMAL, "a46318db88c114f48fbfc9815e10689135cd1294b0da2d342cec46e04986e4e2"),
         (3, BASELINE, "345b40fe09314cb9da9f22b9b07d7d98f22efd528fd997682b0c4aa96d71f63a"),
         (4, BASELINE, "2fc605288aaee9a4970612545c625fce23e8cb3531f81b40668732c48ae67e9f"),
         (5, BASELINE, "f7c40929a6ca348134ad3e133e80556669d4d183019b8f0d1e0fe67c822361c0"),

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -154,15 +155,26 @@ class TestSynthesize:
 
     def test_plan_pinned(self):
         # sha256 over every plan's gates, outputs, stage-2 ids, stage AND
-        # counts and sigma id, recorded when each stage had its own builder
-        # function; the mutation tests re-tap outputs onto stage-2 ids
+        # counts and sigma id, recorded since XORs have two operands; the
+        # mutation tests re-tap outputs onto stage-2 ids
         h = hashlib.sha256()
         for n in [*range(3, 65), 1000, 1001]:
             for construction in (OPTIMAL, BASELINE):
                 p = synthesize_plan(n, construction)
                 h.update(repr((p.circuit.gates, p.circuit.outputs, p.stage2_nodes,
                                p.stage_and_counts, p.sigma)).encode())
-        assert h.hexdigest() == "ec40d1a7e30d98aa53cb7a26c36715514601fce44f60c70574f5b9a76e66a980"
+        assert h.hexdigest() == "43826f1ab13e0846bf6c6641199e2fadd277900eeb425780d097bbeb4c4fdb29"
+
+    def test_circuit_takes_the_builder_arrays(self):
+        # the circuit holds the builder's own arrays, not copies, so the
+        # build peaks little above what the plan holds (0.9 MiB here)
+        tracemalloc.start()
+        try:
+            plan = synthesize_plan(20000)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - held < 1.4 * 2 ** 20, (peak - held) / 2 ** 20
 
     @pytest.mark.parametrize("n", range(3, 11))
     def test_stage_budget(self, n):
@@ -186,7 +198,6 @@ def assert_matches_reference(n):
     c = plan.circuit
     assert bytes(c._kinds) == bytes(b._kinds)
     assert c._first == b._first and c._second == b._second
-    assert c._wide == b._wide
     assert (plan.sigma, plan.stage2_nodes, plan.stage_and_counts) == (sigma, stage2, counts)
     assert [gid for _, gid in c.outputs] == outputs
 
