@@ -29,7 +29,7 @@ gate list.
 from __future__ import annotations
 
 from array import array
-from itertools import chain, compress, count, islice, product
+from itertools import chain, compress, islice, product
 from operator import countOf, lt
 from typing import Iterable, Iterator, Sequence
 
@@ -47,6 +47,7 @@ _OPERAND_COUNTS = {AND: 2, XOR: 2, NOT: 1}
 _CODES = {XOR: 4, AND: 8, NOT: 16}  # kind byte
 _KINDS = {0: INPUT, 4: XOR, 8: AND, 16: NOT}
 _ID_LIMIT = (1 << 31) - 1  # largest gate id an operand slot holds
+_FLAGS = bytes([0]) + bytes([1]) * 255  # plan byte -> reachable flag
 
 
 class CircuitBuilder:
@@ -173,7 +174,7 @@ class _Numbered:
 class Circuit:
     """Immutable gate DAG with labeled outputs; safe to share across threads."""
 
-    __slots__ = ("arity", "_kinds", "_first", "_second", "_labels", "_ids", "_walk", "_last")
+    __slots__ = ("arity", "_kinds", "_first", "_second", "_labels", "_ids", "_live")
 
     def __init__(self, arity: int, gates: Iterable[tuple], outputs: Iterable[tuple[str, int]],
                  *, _arrays: tuple | None = None):
@@ -185,10 +186,8 @@ class Circuit:
                 if not -_ID_LIMIT <= gid <= _ID_LIMIT:
                     raise ValueError(f"output {label!r} references unknown gate {gid}")
             _arrays += (tuple(label for label, _ in pairs), array("i", [g for _, g in pairs]))
-        self.arity = arity
+        self.arity, self._live = arity, None  # _live: filled by _plan()
         self._kinds, self._first, self._second, self._labels, self._ids = _arrays
-        self._walk: tuple[bytearray, int] | None = None  # filled by _structure() or _drop_plan()
-        self._last: bytes | None = None  # filled by _drop_plan()
 
     def __len__(self) -> int:  # the gate count, inputs included
         return len(self._kinds)
@@ -222,62 +221,40 @@ class Circuit:
 
     # -- structure ---------------------------------------------------------
 
-    def _structure(self) -> tuple[bytearray, int]:
-        """(reachable flags, reachable ANDs), walked once and cached; the
-        first evaluation fills it too, from its plan walk."""
-        if self._walk is None:
-            kinds, mark = self._kinds, bytearray(len(self._kinds))
+    def _plan(self) -> bytearray:
+        """A byte per gate, walked backward once and cached: 0 for a gate no
+        output reads, 32 for an input one does, and for a live gate past the
+        inputs its kind byte plus 1 to drop its first operand's column after
+        it and 2 its second's. Outputs start out read; the first reader the
+        walk meets is the last, and a gate still unread when met reads nothing."""
+        if self._live is None:
+            kinds, n = self._kinds, self.arity
+            plan = bytearray(len(kinds))
             for gid in self._ids:
-                mark[gid] = 1
-            gates = zip(reversed(kinds), reversed(self._first), reversed(self._second))
-            # reversed(mark) reads each flag after the gate's readers (higher ids) ran
-            for k, a, b in compress(islice(gates, len(kinds) - self.arity), reversed(mark)):
-                mark[a] = 1
-                if k != 16:  # a NOT's second slot holds 0, not an operand
-                    mark[b] = 1
-            self._cache_structure(mark)
-        return self._walk
-
-    def _cache_structure(self, mark: bytearray) -> None:
-        self._walk = (mark, countOf(compress(self._kinds, mark), 8))
+                plan[gid] = 32
+            gates = zip(range(len(kinds) - 1, n - 1, -1), reversed(kinds), reversed(self._first),
+                        reversed(self._second))
+            # reversed(plan) reads each byte after the gate's readers (higher ids) ran
+            for gid, k, a, b in compress(gates, reversed(plan)):
+                if not plan[a]:
+                    k |= 1
+                    plan[a] = 32
+                if k & 12 and not plan[b]:  # AND or XOR; a NOT has no second operand
+                    k |= 2
+                    plan[b] = 32
+                plan[gid] = k
+            self._live = plan
+        return self._live
 
     def reachable(self) -> bytearray:
         """Flag per gate: reachable from some output (a fresh copy per call)."""
-        return bytearray(self._structure()[0])
+        return self._plan().translate(_FLAGS)
 
     def and_count(self) -> int:
         """Number of AND gates reachable from the outputs."""
-        return self._structure()[1]
+        return countOf(compress(self._kinds, self._plan()), 8)
 
     # -- evaluation --------------------------------------------------------
-
-    def _drop_plan(self) -> bytes:
-        """Per non-input gate a flag byte, built on first evaluation and cached:
-        0 for a dead gate, else its kind byte plus 1 to drop its first
-        operand's column after it and 2 its second's. Walking backward, the
-        first reader met is the last, and a gate still unread when met is dead
-        and reads nothing; outputs start out read. The final read flags fill
-        _walk."""
-        if self._last is None:
-            kinds, n = self._kinds, self.arity
-            read = bytearray(len(kinds))  # 1 once an output or a later live gate reads it
-            for gid in self._ids:
-                read[gid] = 1
-            drops = bytearray(len(kinds) - n)  # 0 for each dead gate
-            gates = zip(count(len(kinds) - 1, -1), reversed(kinds), reversed(self._first),
-                        reversed(self._second))
-            for gid, k, a, b in compress(islice(gates, len(kinds) - n), reversed(read)):
-                if not read[a]:
-                    k |= 1
-                    read[a] = 1
-                if k & 12 and not read[b]:  # AND or XOR; a NOT has no second operand
-                    k |= 2
-                    read[b] = 1
-                drops[gid - n] = k
-            self._last = bytes(drops)
-            if self._walk is None:
-                self._cache_structure(read)
-        return self._last
 
     def output_columns(self, input_columns: Iterable[int], width: int) -> list[int]:
         """Forward pass over bit columns of the given width.
@@ -294,7 +271,7 @@ class Circuit:
             raise ValueError(f"expected {n} input columns, got {len(cols)}")
         ones = full_mask(width)
         append = cols.append
-        for f, a, b in zip(self._drop_plan(), islice(self._first, n, None),
+        for f, a, b in zip(islice(self._plan(), n, None), islice(self._first, n, None),
                            islice(self._second, n, None)):
             if f & 12:  # AND or XOR: most gates
                 v = cols[a] & cols[b] if f & 8 else cols[a] ^ cols[b]

@@ -57,15 +57,16 @@ def _write_joined(fh: TextIO, items: Iterable[str], sep: str, lead: str = "") ->
     return wrote
 
 
-def _bristol_lines(circuit: Circuit, live: bytearray) -> Iterator[str]:
-    """The gate lines, over the gates flagged in ``live``."""
+def _bristol_lines(circuit: Circuit, live: Iterable[int]) -> Iterator[str]:
+    """The gate lines, over the non-input gates flagged in ``live``."""
     n, kinds = circuit.arity, circuit._kinds
     # gate id -> wire, input x_v is wire v - 1; an array holds no int objects
     wire_of = array("q", range(n)) + array("q", [-1]) * (len(kinds) - n)
     zero = n  # defined by line 0; read by the output copies
     yield f"2 1 0 0 {zero} XOR"
     w = n + 1  # the wire the next line writes
-    for gid, k, a, b in compress(zip(count(), kinds, circuit._first, circuit._second), live):
+    gates = islice(zip(count(), kinds, circuit._first, circuit._second), n, None)
+    for gid, k, a, b in compress(gates, live):
         if k & 12:  # AND or XOR: most gates
             yield f"2 1 {wire_of[a]} {wire_of[b]} {w} {_KINDS[k]}"
         else:  # NOT
@@ -79,15 +80,13 @@ def _bristol_lines(circuit: Circuit, live: bytearray) -> Iterator[str]:
 
 def write_bristol(circuit: Circuit, fh: TextIO) -> None:
     """Write the circuit as Bristol Fashion. The header's gate count is
-    counted from the reachable flags before the body streams."""
+    counted from the circuit's plan bytes before the body streams."""
     if not circuit._ids:
         raise ValueError("cannot export a circuit with no outputs")
-    n, outs = circuit.arity, len(circuit._ids)
-    live = circuit.reachable()
-    live[:n] = bytes(n)  # the inputs are wires, not lines
-    lines = 1 + sum(live) + outs  # zero wire, one line per live gate, output copies
+    n, outs, plan = circuit.arity, len(circuit._ids), circuit._plan()
+    lines = 1 + len(plan) - n - plan.count(0, n) + outs  # zero wire, live gates, output copies
     fh.write(f"{lines} {n + lines}\n1 {n}\n{outs} {' '.join(['1'] * outs)}\n\n")
-    _write_joined(fh, _bristol_lines(circuit, live), "\n")
+    _write_joined(fh, _bristol_lines(circuit, islice(plan, n, None)), "\n")
     fh.write("\n")
 
 
@@ -151,6 +150,8 @@ def import_bristol(text: str) -> Circuit:
         raise BristolFormatError("circuit must declare at least one output wire")
     if nwires < n_inputs + n_output_wires:
         raise BristolFormatError("wire count smaller than declared inputs plus outputs")
+    if n_output_wires > ngates:  # each output wire is driven by its own gate line
+        raise BristolFormatError(f"more output wires ({n_output_wires}) than gate lines ({ngates})")
 
     kinds = bytearray(n_inputs)  # the packed layout of xagsynth.circuit
     first, second = array("i", [0]) * n_inputs, array("i", [0]) * n_inputs

@@ -256,32 +256,25 @@ class TestEval:
             assert [(col >> x) & 1 for col in got] == naive_eval(c.gates, c.outputs, bits)
 
     def test_cached_last_uses_serve_every_width(self):
-        # one last-use table, filled by the first pass, serves a later pass
-        # at another width
+        # one plan, built by the first pass, serves a later pass at another
+        # width
         b = CircuitBuilder(4)
         g = b.and_(b.xor(0, 1, 2), b.not_(3))
         c = b.finish([("g", g), ("h", b.xor(g, 0, g))])
-        assert c._last is None
+        assert c._live is None
         point = [1, 0, 0, 1]
         assert list(c.output_columns(point, 1)) == naive_eval(c.gates, c.outputs, point)
-        table = c._last
+        plan = c._live
         rng = random.Random(5)
         columns = [rng.getrandbits(64) for _ in range(4)]
         got = c.output_columns(columns, 64)
-        assert c._last is table
+        assert plan is not None and c._live is plan and c._plan() is plan
         for t in range(64):
             bits = [(col >> t) & 1 for col in columns]
             assert [(col >> t) & 1 for col in got] == naive_eval(c.gates, c.outputs, bits)
 
-    def test_export_leaves_the_last_use_table_unbuilt(self):
-        # exporting never evaluates, so it does not pay for the table
-        b, s = sigma3_builder()
-        c = b.finish([("s", s)])
-        export_bristol(c)
-        assert c.and_count() == 1 and c._last is None
-
     def test_drop_plan_costs_bytes_per_gate(self):
-        # the first pass builds and keeps a flag byte per gate; an int per
+        # the first pass builds and keeps a plan byte per gate; an int per
         # gate would cost about 32 B/gate on its own
         from xagsynth import synthesize
         c = synthesize(20000)
@@ -299,9 +292,10 @@ class TestEval:
         assert (plan - base) / gates < 4, (plan - base) / gates
 
     def test_plan_walk_fills_the_reachable_flags(self):
-        # the plan walk skips dead gates, so its read flags are exactly the
-        # reachable flags; a dead gate's operands stay dead unless a live
-        # gate reads them, and the pass still matches the oracle
+        # the plan walk skips dead gates, so its nonzero bytes are exactly
+        # the reachable gates, each past the inputs holding its kind byte; a
+        # dead gate's operands stay dead unless a live gate reads them, and
+        # the pass still matches the oracle
         from xagsynth import synthesize
         b = CircuitBuilder(3)
         x1, x2, x3 = 0, 1, 2
@@ -313,12 +307,19 @@ class TestEval:
         c9 = synthesize(9)
         circuits = [hand, retap(c9, 0, 0), retap(c9, 4, len(c9.gates) - 2),
                     with_zero_outputs(c9, [1, 3, 8]), with_zero_outputs(c9, range(9))]
+        codes = {"INPUT": 0, XOR: 4, AND: 8, NOT: 16}
         rng = random.Random(11)
         for c in circuits:
             fresh = Circuit(c.arity, c.gates, c.outputs)
             columns = [rng.getrandbits(64) for _ in range(c.arity)]
             got = c.output_columns(columns, 64)
-            assert c._walk == fresh._structure()
+            flags = c.reachable()
+            assert flags == fresh.reachable() and flags is not c._live
+            live = naive_reachable(c.gates, c.outputs)
+            assert [*flags] == [int(g in live) for g in range(len(c))]
+            assert [f & 60 for f in c._live] == [
+                g in live and (codes[kind] if g >= c.arity else 32)
+                for g, (kind, *_) in enumerate(c.gates)]
             for t in range(64):
                 bits = [(col >> t) & 1 for col in columns]
                 assert [(col >> t) & 1 for col in got] == naive_eval(c.gates, c.outputs, bits)

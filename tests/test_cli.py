@@ -76,28 +76,28 @@ class TestSynthCommand:
         assert capsysbinary.readouterr().out == expected
 
     def test_one_structural_walk_per_run(self, monkeypatch, tmp_path):
-        walks, calls = [], []
-        structure, reachable = Circuit._structure, Circuit.reachable
+        # every command builds one plan, the one backward walk over the
+        # gates, and no library path copies it into reachable flags
+        builds = []
+        plan = Circuit._plan
 
-        def counted_structure(self):
-            if self._walk is None:
-                walks.append(len(self.gates))
-            return structure(self)
+        def counted_plan(self):
+            if self._live is None:
+                builds.append(len(self))
+            return plan(self)
 
-        def counted_reachable(self):
-            calls.append(len(self.gates))
-            return reachable(self)
+        def refuse(self):
+            raise AssertionError("Circuit.reachable was called")
 
-        monkeypatch.setattr(Circuit, "_structure", counted_structure)
-        monkeypatch.setattr(Circuit, "reachable", counted_reachable)
-        assert cli(["synth", "--n", "40", "--out", str(tmp_path / "c")]) == 0
-        assert len(walks) == 1 and len(calls) == 1
-        # a check evaluates before it counts ANDs, and the evaluation's plan
-        # walk fills the reachable flags: the structural walk never runs
-        for argv in (["verify", "--n", "40", "--mode", "sample", "--samples", "50"],
+        monkeypatch.setattr(Circuit, "_plan", counted_plan)
+        monkeypatch.setattr(Circuit, "reachable", refuse)
+        for argv in (["synth", "--n", "40", "--out", str(tmp_path / "c")],
+                     ["synth", "--n", "40", "--format", "json", "--out", str(tmp_path / "j")],
+                     ["verify", "--n", "40", "--mode", "sample", "--samples", "50"],
                      ["verify", "--n", "12", "--mode", "exhaustive"]):
+            builds.clear()
             assert cli(argv) == 0
-        assert len(walks) == 1
+            assert len(builds) == 1, argv
 
 
 def test_no_library_path_reads_the_gate_tuples(monkeypatch, tmp_path):
@@ -220,7 +220,7 @@ class TestStatsCommand:
         (3, "97820e5900be4702dcdf8c05b24f1ca8a1c002bfc5991a08622d4c823732d3a8"),
         (6, "7a53d802be46f28bdafee31f7e6a598f5894413ca5addc6deb6008ba590a86e0"),
         (1001, "41ff822e9c94d4d281efcfb7aeb4f843e4330f73a208340d1d5a11fded171bce"),
-    ])
+    ], ids=["n3", "n6", "n1001"])
     def test_stdout_bytes_pinned(self, capsys, n, digest):
         # every line, the gate counts of both constructions included
         assert cli(["stats", "--n", str(n)]) == 0

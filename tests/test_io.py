@@ -330,6 +330,8 @@ class TestBristolImportErrors:
         # blank lines count toward line numbers but not toward gates
         ("1 4\n\n1 2\n1 1\n\n\n \n2 1 0 9 3 AND\n", "line 8: wire 9 used before definition"),
         ("1 5\n1 2\n1 1\n\n2 1 0 1 2 XOR\n", "output wire 4 is never driven"),
+        # each output wire needs a gate line of its own to drive it
+        ("1 6\n1 2\n1 2\n\n2 1 0 1 5 AND\n", "more output wires (2) than gate lines (1)"),
     ])
     def test_message_pinned(self, doc, message):
         with pytest.raises(BristolFormatError) as info:
@@ -338,10 +340,12 @@ class TestBristolImportErrors:
 
 
 class TestBristolImportLimits:
-    # two million declared inputs in a 45-byte document
+    # two million declared inputs, or four million outputs, in a document
+    # under 50 bytes
     @pytest.mark.parametrize("doc,match", [
         ("1 2000001\n1 2000000\n1 1\n\n2 1 0 1 2000000 AND\n", "limit 1048576"),
         ("5 2000001\n1 2000000\n1 1\n\n2 1 0 1 2000000 AND\n", "declares 5 gates"),
+        ("1 4000002\n1 2\n1 4000000\n\n2 1 0 1 4000001 AND\n", "more output wires"),
     ])
     def test_oversized_header_refused_before_allocating(self, doc, match):
         t0 = time.perf_counter()
