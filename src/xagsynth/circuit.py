@@ -29,7 +29,7 @@ gate list.
 from __future__ import annotations
 
 from array import array
-from itertools import chain, compress, islice, product
+from itertools import compress, islice, product
 from operator import countOf, lt
 from typing import Iterable, Iterator, Sequence
 
@@ -106,8 +106,10 @@ class CircuitBuilder:
                     if not 0 <= (o := lanes[k % 2 * p + k // 2][r]) < gid + r * p + k // 2:
                         raise ValueError(f"unknown gate id {o}")
         self._kinds += bytes(_CODES[k] for k in pattern) * count
-        self._first.extend(chain.from_iterable(zip(*firsts)))  # repeat by repeat, gate order
-        self._second.extend(chain.from_iterable(zip(*seconds)))
+        for arr, lanes in (self._first, firsts), (self._second, seconds):
+            arr.frombytes(bytes(arr.itemsize * p * count))  # zeros, then each lane in place
+            for j, lane in enumerate(lanes):
+                arr[gid + j::p] = array("i", lane)
         self.and_gates_created += count * pattern.count(AND)
         return range(gid, gid + p * count)
 
@@ -212,7 +214,8 @@ class Circuit:
         n, kinds = self.arity, self._kinds
         if len(kinds) < n:
             raise ValueError(f"gates 0..{n - 1} must be the inputs x1..x{n}")
-        for gid, a, b in zip(range(n, len(kinds)), self._first[n:], self._second[n:]):
+        for gid, a, b in zip(range(n, len(kinds)), islice(self._first, n, None),
+                             islice(self._second, n, None)):
             if not (0 <= a < gid and 0 <= b < gid):  # a NOT's second slot holds 0
                 raise ValueError(f"gate {gid}: operand {b if 0 <= a < gid else a} not before gate")
         for label, gid in zip(self._labels, self._ids):

@@ -13,7 +13,9 @@ Only binary AND/XOR and unary INV appear, and every gate line defines one new
 wire: line k (from 0) writes wire n + k. Line 0 is the shared zero wire
 XOR(w0, w0), then one line per reachable gate, and every output is copied
 onto its final wire with XOR against the zero wire. Neither addition is an
-AND, so the AND line count equals the circuit's reachable AND count.
+AND, so the AND line count equals the circuit's reachable AND count. The
+writer formats each chunk of gates with one ``%`` over a template of one line
+per live gate; a gate's wire comes from a 4-byte running count of live gates.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import io
 from array import array
 import json
 import re
-from itertools import chain, compress, count, islice
+from itertools import accumulate, chain, compress, count, islice
 from operator import countOf, itemgetter
 from typing import Iterable, Iterator, TextIO
 
@@ -57,37 +59,37 @@ def _write_joined(fh: TextIO, items: Iterable[str], sep: str, lead: str = "") ->
     return wrote
 
 
-def _bristol_lines(circuit: Circuit, live: Iterable[int]) -> Iterator[str]:
-    """The gate lines, over the non-input gates flagged in ``live``."""
-    n, kinds = circuit.arity, circuit._kinds
-    # gate id -> wire, input x_v is wire v - 1; an array holds no int objects
-    wire_of = array("q", range(n)) + array("q", [-1]) * (len(kinds) - n)
-    zero = n  # defined by line 0; read by the output copies
-    yield f"2 1 0 0 {zero} XOR"
-    w = n + 1  # the wire the next line writes
-    gates = islice(zip(count(), kinds, circuit._first, circuit._second), n, None)
-    for gid, k, a, b in compress(gates, live):
-        if k & 12:  # AND or XOR: most gates
-            yield f"2 1 {wire_of[a]} {wire_of[b]} {w} {_KINDS[k]}"
-        else:  # NOT
-            yield f"1 1 {wire_of[a]} {w} INV"
-        wire_of[gid] = w
-        w += 1
-    for gid in circuit._ids:
-        yield f"2 1 {wire_of[gid]} {zero} {w} XOR"
-        w += 1
+# Bristol line per kind byte; a NOT's unused second operand is formatted to nothing
+_LINES = {4: "2 1 %d %d %d XOR\n", 8: "2 1 %d %d %d AND\n", 16: "1 1 %d %.0s%d INV\n"}
 
 
 def write_bristol(circuit: Circuit, fh: TextIO) -> None:
-    """Write the circuit as Bristol Fashion. The header's gate count is
-    counted from the circuit's plan bytes before the body streams."""
+    """Write the circuit as Bristol Fashion, one ``%`` format per chunk of
+    gates. Wires are counted from the circuit's plan bytes before the body
+    streams: input x_v is wire v - 1, the zero wire is n and the k-th live
+    gate past the inputs (from 1) is wire n + k."""
     if not circuit._ids:
         raise ValueError("cannot export a circuit with no outputs")
-    n, outs, plan = circuit.arity, len(circuit._ids), circuit._plan()
-    lines = 1 + len(plan) - n - plan.count(0, n) + outs  # zero wire, live gates, output copies
-    fh.write(f"{lines} {n + lines}\n1 {n}\n{outs} {' '.join(['1'] * outs)}\n\n")
-    _write_joined(fh, _bristol_lines(circuit, islice(plan, n, None)), "\n")
-    fh.write("\n")
+    n, ids, plan, first, second = (circuit.arity, circuit._ids, circuit._plan(),
+                                   circuit._first, circuit._second)
+    # gate id -> wire; a dead gate's entry is never read, and the one past the
+    # last gate is the first output copy's wire
+    wire = array("I", range(n))
+    wire.extend(accumulate(map(bool, islice(plan, n, None)), initial=n + 1))
+    at, outs = wire.__getitem__, len(ids)
+    lines = wire[-1] - n + outs  # zero wire, live gates, output copies
+    fh.write(f"{lines} {n + lines}\n1 {n}\n{outs} {' '.join(['1'] * outs)}\n\n2 1 0 0 {n} XOR\n")
+    for lo in range(n, len(plan), _CHUNK):
+        hi = lo + _CHUNK
+        live = plan[lo:hi]
+        fmt = "".join(map(_LINES.__getitem__, compress(circuit._kinds[lo:hi], live)))
+        fh.write(fmt % tuple(chain.from_iterable(zip(
+            map(at, compress(first[lo:hi], live)), map(at, compress(second[lo:hi], live)),
+            count(wire[lo])))))
+    for lo in range(0, outs, _CHUNK):  # each output copied onto its wire: XOR with zero
+        chunk = ids[lo:lo + _CHUNK]
+        fh.write(f"2 1 %d {n} %d XOR\n" * len(chunk)
+                 % tuple(chain.from_iterable(zip(map(at, chunk), count(wire[-1] + lo)))))
 
 
 def export_bristol(circuit: Circuit) -> str:

@@ -5,8 +5,9 @@ variable-index tuples, tables are plain lists, and every transform is the
 direct definition (subset sums, pairwise expansion), not the fast path. The
 two helpers that build a circuit, ``retap`` and ``with_zero_outputs``, use
 the public ``Circuit`` constructor; ``reference_optimal`` is the optimal
-construction one gate at a time, and ``patch_optimal`` and its two mutants
-wrap the library's construction for mutation tests.
+construction one gate at a time, ``reference_bristol`` the Bristol writer
+one line at a time, and ``patch_optimal`` and its two mutants wrap the
+library's construction for mutation tests.
 """
 
 import json
@@ -203,6 +204,29 @@ def stage2_at_one_and(builder, sigma, stage2, outputs):
 def outputs_at_sigma(builder, sigma, stage2, outputs):
     """Every output is tapped at sigma_n."""
     return sigma, stage2, [sigma] * len(outputs)
+
+
+def reference_bristol(circuit):
+    """The Bristol Fashion document one gate line at a time, over the public
+    ``gates`` and ``outputs`` views and ``naive_reachable``: the byte oracle
+    for ``write_bristol``, which formats a chunk of gates at once."""
+    gates, outputs, n = circuit.gates, circuit.outputs, circuit.arity
+    live = naive_reachable(gates, outputs)
+    wire_of = {gid: gid for gid in range(n)}  # input x_v is wire v - 1
+    zero = n  # the shared zero wire, read by the output copies
+    lines = [f"2 1 0 0 {zero} XOR"]
+    for gid in range(n, len(gates)):
+        if gid not in live:
+            continue
+        kind, *ops = gates[gid]
+        wire_of[gid] = n + len(lines)
+        ins = " ".join(str(wire_of[o]) for o in ops)
+        lines.append(f"{len(ops)} 1 {ins} {wire_of[gid]} {'INV' if kind == 'NOT' else kind}")
+    for _, gid in outputs:
+        lines.append(f"2 1 {wire_of[gid]} {zero} {n + len(lines)} XOR")
+    header = [f"{len(lines)} {n + len(lines)}", f"1 {n}",
+              " ".join([str(len(outputs))] + ["1"] * len(outputs)), ""]
+    return "\n".join(header + lines) + "\n"
 
 
 def json_dumps_circuit(circuit, construction=None):

@@ -352,13 +352,13 @@ class TestStreamingMemory:
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB")
 def test_synth_peaks_near_the_packed_circuit(tmp_path):
     # about 9 B of gate arrays per gate and a 4-byte id per output: writing
-    # the n = 50000 circuit's Bristol text peaks about 11 MiB over the
-    # imports, where a label and a tuple per output took about 19 and tuple
-    # gates about 44
+    # the n = 50000 circuit's Bristol text peaks about 8 MiB over the
+    # imports, where an 8-byte wire map per gate took about 11, a label and
+    # a tuple per output about 19 and tuple gates about 44
     import_only = _child_peak_mib(["-c", "import xagsynth.cli"])
     peak = _child_peak_mib(["-m", "xagsynth.cli", "synth", "--n", "50000", "--format", "bristol",
                             "--out", str(tmp_path / "c")])
-    assert peak - import_only <= 16, (peak, import_only)
+    assert peak - import_only <= 11, (peak, import_only)
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB")

@@ -1,6 +1,7 @@
 import hashlib
 import importlib.util
 import json
+import random
 import re
 import time
 import tracemalloc
@@ -11,8 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xagsynth import (
+    AND,
     BASELINE,
     OPTIMAL,
+    XOR,
     BristolFormatError,
     CircuitBuilder,
     check_exhaustive,
@@ -24,7 +27,7 @@ from xagsynth import (
     synthesize,
 )
 
-from oracles import all_inputs, json_dumps_circuit, naive_eval
+from oracles import all_inputs, json_dumps_circuit, naive_eval, reference_bristol
 
 
 def and_lines(doc):
@@ -61,6 +64,30 @@ _PINNED_BRISTOL_DOT = [
      "7f4fec6898331fb04117b557fa7ff7e0057f578cb4f23a053ed53a8f7998a58b"),
 ]
 
+_PINNED_IDS = [f"{construction}-n{n}" for n, construction, *_ in _PINNED_BRISTOL_DOT]
+
+
+def _random_circuit(rng):
+    """A builder circuit with runs of dead gates and NOTs, XOR chains, bulk
+    runs and outputs that may sit on inputs or share a gate."""
+    b = CircuitBuilder(rng.randint(1, 6))
+    size = b.arity
+    for _ in range(rng.randrange(12)):
+        step = rng.randrange(4)
+        if step == 0:  # a run of NOTs, each a chain step or a dead branch
+            for _ in range(rng.randint(1, 5)):
+                size = b.not_(rng.randrange(size)) + 1
+        elif step == 1:  # ANDs, most of them read by nothing
+            for _ in range(rng.randint(1, 5)):
+                size = b.and_(rng.randrange(size), rng.randrange(size)) + 1
+        elif step == 2:
+            size = b.xor(*(rng.randrange(size) for _ in range(rng.randint(2, 5)))) + 1
+        else:
+            p, count = rng.randint(1, 3), rng.randint(1, 4)
+            lanes = [[rng.randrange(size) for _ in range(count)] for _ in range(2 * p)]
+            size = b.run(rng.choices([AND, XOR], k=p), lanes[:p], lanes[p:], count).stop
+    return b.finish([(f"o{k}", rng.randrange(size)) for k in range(rng.randint(1, 5))])
+
 
 class TestBristolExport:
     def test_n3_optimal_has_three_and_lines(self):
@@ -91,7 +118,7 @@ class TestBristolExport:
         c = synthesize(6, BASELINE)
         assert export_bristol(c) == export_bristol(c)
 
-    @pytest.mark.parametrize("n,construction,bristol,dot", _PINNED_BRISTOL_DOT)
+    @pytest.mark.parametrize("n,construction,bristol,dot", _PINNED_BRISTOL_DOT, ids=_PINNED_IDS)
     def test_bytes_pinned(self, n, construction, bristol, dot):
         c = synthesize(n, construction)
         assert hashlib.sha256(export_bristol(c).encode()).hexdigest() == bristol
@@ -134,6 +161,16 @@ class TestBristolExport:
             with open(path, "w") as fh:
                 write(c, fh)
             assert path.read_text() == expected
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 4096])
+    def test_writer_matches_reference(self, monkeypatch, chunk):
+        # a chunk of one to three gates splits every run of dead gates, NOTs
+        # and output copies somewhere
+        monkeypatch.setattr(io_formats, "_CHUNK", chunk)
+        rng = random.Random(chunk)
+        circuits = [_random_circuit(rng) for _ in range(300)]
+        for c in circuits + [synthesize(n, con) for n in (3, 4, 37) for con in (OPTIMAL, BASELINE)]:
+            assert export_bristol(c) == reference_bristol(c)
 
 
 class TestBristolRoundTrip:
