@@ -16,6 +16,17 @@ onto its final wire with XOR against the zero wire. Neither addition is an
 AND, so the AND line count equals the circuit's reachable AND count. The
 writer formats each chunk of gates with one ``%`` over a template of one line
 per live gate; a gate's wire comes from a 4-byte running count of live gates.
+
+The importer reads any document in the format, with any group shapes, line
+breaks and spacing, line by line through a wire -> gate map. A document in
+exactly the dialect above with AND and XOR lines only, as ``write_bristol``
+emits for a synthesized circuit, takes a bulk branch instead: each wire is
+its own gate id, and each chunk of about 256 KiB of lines is parsed at C
+level as one JSON array. Any fault sends the document to the per-line
+parser, which alone raises, so its messages are the only ones.
+
+The JSON writer, too, formats each chunk of gates with one ``%`` over a
+template of one record per gate's kind.
 """
 
 from __future__ import annotations
@@ -25,7 +36,7 @@ from array import array
 import json
 import re
 from itertools import accumulate, chain, compress, count, islice
-from operator import countOf, itemgetter
+from operator import countOf, itemgetter, lt, neg
 from typing import Iterable, Iterator, TextIO
 
 from .circuit import _KINDS, INPUT, Circuit, _Numbered
@@ -114,12 +125,90 @@ _TWO_OPERAND = {("2", "1", "AND"): 8, ("2", "1", "XOR"): 4}  # keyed by #in, #ou
 
 
 def import_bristol(text: str) -> Circuit:
+    """The validated circuit of a Bristol Fashion document.
+
+    Two branches read it, and the text selects which. A document in the exact
+    dialect :func:`write_bristol` emits is parsed a chunk of lines at a time;
+    any other document, or one that branch cannot prove is in that dialect,
+    is read by the per-line parser. Both give the same circuit. The bulk
+    branch never raises: only the per-line parser raises
+    :class:`BristolFormatError`, and its message names the first fault.
+    """
     # int() also takes signs, underscores and non-ASCII digits; an ASCII
-    # document free of "+-_" leaves it only runs of ASCII digits.
+    # document free of "+-_" leaves it only runs of ASCII digits, and leaves
+    # the bulk branch's negative op codes unambiguous.
     if not text.isascii() or "+" in text or "-" in text or "_" in text:
         bad = re.search(r"[^\x00-\x7f]|[-+_]", text)
         no = len((text[:bad.start()] + "x").splitlines())
         raise BristolFormatError(f"line {no}: unexpected {bad.group()!r}; numbers are ASCII digits")
+    circuit = _read_canonical(text)
+    if circuit is None:
+        circuit = _read_lines(text)
+    circuit.validate()
+    return circuit
+
+
+# write_bristol's header: gate and wire counts, one input group, one size-1
+# group per output, then a blank line
+_CANONICAL_HEAD = re.compile(r"([0-9]+) ([0-9]+)\n1 ([0-9]+)\n([0-9]+)((?: 1)*)\n\n")
+_BULK = 1 << 18  # characters of body text the bulk branch parses per step
+_NUMERIC = dict.fromkeys(map(ord, "0123456789,-"))  # str.translate deletes these
+
+
+def _read_canonical(text: str) -> Circuit | None:
+    """The circuit of a document in write_bristol's dialect, or None for any
+    document this cannot prove is in it.
+
+    Body line k is ``2 1 a b n+k AND|XOR`` with a, b < n + k, so each wire is
+    its own gate id and no wire map is needed. Each chunk of lines becomes
+    one JSON array of six numbers per line, the op as -8 or -4 (the text has
+    no '-'), and is checked field by field with slices before its gates are
+    appended."""
+    head = _CANONICAL_HEAD.match(text)
+    # every chunk then ends a line, and a ',' would read as a space
+    if head is None or not text.endswith("\n") or "," in text:
+        return None
+    try:
+        ngates, nwires, n, outs = map(int, head.group(1, 2, 3, 4))
+    except ValueError:  # a digit run past int()'s length limit
+        return None
+    if (len(head[5]) != 2 * outs or not 1 <= n <= MAX_BRISTOL_INPUTS
+            or not 1 <= outs <= ngates or nwires != n + ngates):
+        return None
+    kinds = bytearray(n)
+    first, second = array("i", [0]) * n, array("i", [0]) * n
+    pos = head.end()
+    while pos < len(text):
+        end = text.find("\n", pos + _BULK) + 1 or len(text)
+        body = (text[pos:end].replace(" AND\n", ",-8,").replace(" XOR\n", ",-4,")
+                .replace(" ", ","))
+        if body.translate(_NUMERIC):  # JSON would also read 1.5, 1e3, NaN or true
+            return None
+        try:
+            v = json.loads(f"[{body[:-1]}]")
+        except ValueError:  # 07, an empty field, or a digit run past int()'s length limit
+            return None
+        a, b, ops = v[2::6], v[3::6], v[5::6]
+        m = len(ops)
+        wires = range(len(kinds), len(kinds) + m)
+        if (len(v) % 6 or v[::6].count(2) != m or v[1::6].count(1) != m
+                or ops.count(-8) + ops.count(-4) != m or v[4::6] != list(wires)
+                or min(a) < 0 or min(b) < 0
+                or not all(map(lt, a, wires)) or not all(map(lt, b, wires))):
+            return None
+        kinds += bytes(map(neg, ops))
+        first += array("i", a)
+        second += array("i", b)
+        pos = end
+    if len(kinds) != n + ngates:
+        return None
+    ids = array("i", range(nwires - outs, nwires))
+    return Circuit(n, (), (), _arrays=(kinds, first, second, _Numbered("o", outs), ids))
+
+
+def _read_lines(text: str) -> Circuit:
+    """The circuit of any Bristol Fashion document, read line by line through
+    a wire -> gate map, or :class:`BristolFormatError` naming the first fault."""
     lines = text.splitlines()
     # (line number, line) of each non-blank line, numbered as they are read
     nonempty = filter(itemgetter(1), enumerate(map(str.strip, lines), 1))
@@ -204,10 +293,7 @@ def import_bristol(text: str) -> Circuit:
     ids = array("i", [gate_of.get(w, -1) for w in out_wires])  # -1: never driven
     if -1 in ids:
         raise BristolFormatError(f"output wire {out_wires[ids.index(-1)]} is never driven")
-    labels = _Numbered("o", len(ids))
-    circuit = Circuit(n_inputs, (), (), _arrays=(kinds, first, second, labels, ids))
-    circuit.validate()
-    return circuit
+    return Circuit(n_inputs, (), (), _arrays=(kinds, first, second, _Numbered("o", len(ids)), ids))
 
 
 def write_dot(circuit: Circuit, fh: TextIO) -> None:
@@ -236,23 +322,31 @@ def export_dot(circuit: Circuit) -> str:
     return _to_string(write_dot, circuit)
 
 
+# JSON gate record per kind byte, formatted from (id, operand or an input's
+# variable, second operand); a record leaves out the slots its kind lacks
+_RECORDS = {k: '    {\n      "id": %d,\n      "kind": "' + name + (
+    '",\n      "var": %d%.0s\n    }' if k == 0 else
+    '",\n      "operands": [\n        %d' + (",\n        %d" if k & 12 else "%.0s") + "\n      ]\n    }")
+    for k, name in _KINDS.items()}
+
+
 def write_json(circuit: Circuit, fh: TextIO, construction: str | None = None) -> None:
     """The circuit as the JSON document that ``json.dumps`` with ``indent=2``
-    writes, byte for byte, built without json's pure-Python indent encoder;
-    only the free-text values pass through ``json.dumps``."""
-    n, sep = circuit.arity, ",\n        "
+    writes, byte for byte, built without json's pure-Python indent encoder:
+    gate records one ``%`` format per chunk of gates, and only the free-text
+    values through ``json.dumps``."""
+    n, kinds, second = circuit.arity, circuit._kinds, circuit._second
     fh.write(f'{{\n  "arity": {n},\n  "construction": {json.dumps(construction)},\n'
              f'  "and_count": {circuit.and_count()},\n  "gates": [')
-    inputs = (f'    {{\n      "id": {gid},\n      "kind": "INPUT",\n      "var": {gid + 1}\n    }}'
-              for gid in range(n))
-    others = (f'    {{\n      "id": {gid},\n      "kind": "{_KINDS[k]}",\n      "operands": [\n'
-              f'        {a}{f"{sep}{b}" if k & 12 else ""}\n      ]\n    }}'
-              for gid, k, a, b in islice(zip(count(), circuit._kinds, circuit._first,
-                                             circuit._second), n, None))
+    firsts = chain(range(1, n + 1), islice(circuit._first, n, None))  # x_v is gate v - 1
+    for lo in range(0, len(kinds), _CHUNK):
+        hi = lo + _CHUNK
+        fh.write(",\n" if lo else "\n")
+        fh.write(",\n".join(map(_RECORDS.__getitem__, kinds[lo:hi]))
+                 % tuple(chain.from_iterable(zip(range(lo, hi), firsts, second[lo:hi]))))
     outputs = (f'    {{\n      "label": {json.dumps(label)},\n      "id": {gid}\n    }}'
                for label, gid in zip(circuit._labels, circuit._ids))
-    fh.write(("\n  ]" if _write_joined(fh, chain(inputs, others), ",\n", "\n") else "]")
-             + ',\n  "outputs": [')
+    fh.write(("\n  ]" if kinds else "]") + ',\n  "outputs": [')
     fh.write(("\n  ]" if _write_joined(fh, outputs, ",\n", "\n") else "]") + "\n}\n")
 
 

@@ -6,6 +6,7 @@ import re
 import time
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -201,6 +202,7 @@ class TestBristolRoundTrip:
     def test_wires_map_to_gates_in_definition_order(self):
         # wire 3 is defined first (gate 2), wire 2 second (gate 3)
         doc = "3 5\n1 2\n1 1\n\n2 1 0 1 3 AND\n2 1 3 1 2 XOR\n2 1 2 0 4 AND\n"
+        assert io_formats._read_canonical(doc) is None  # the per-line parser reads it
         c = import_bristol(doc)
         assert c.gates == (("INPUT",), ("INPUT",), ("AND", 0, 1), ("XOR", 2, 1), ("AND", 3, 0))
         assert c.outputs == (("o1", 4),)
@@ -221,7 +223,9 @@ class TestBristolRoundTrip:
             messy.append(f" {line}\t " if k % 2 else line)
             if k > 3 and k % 3 == 0:
                 messy += [" \t", ""]
-        canonical, again = import_bristol(doc), import_bristol("\r\n".join(messy) + "\r\n")
+        messy = "\r\n".join(messy) + "\r\n"
+        assert io_formats._read_canonical(messy) is None  # the per-line parser reads it
+        canonical, again = import_bristol(doc), import_bristol(messy)
         assert (again.gates, again.outputs) == (canonical.gates, canonical.outputs)
 
     def test_repeated_and_line_is_kept_and_counted(self):
@@ -231,11 +235,22 @@ class TestBristolRoundTrip:
         assert c.and_count() == 2
 
 
-_FUZZ_DOCS = [export_bristol(synthesize(n, c))
-              for n, c in [(3, OPTIMAL), (4, BASELINE), (5, OPTIMAL)]]
+def _with_nots():
+    b = CircuitBuilder(3)
+    y = b.xor(b.and_(0, b.not_(1)), b.not_(b.xor(0, 2)), 2)
+    return b.finish([("y", y), ("z", b.not_(b.and_(y, 1)))])
+
+
+# the writer's dialect up to n = 37, whose body spans many lines, and a
+# circuit whose INV lines leave it
+_DIALECT_DOCS = [export_bristol(synthesize(n, c))
+                 for n, c in [(3, OPTIMAL), (4, BASELINE), (5, OPTIMAL), (37, OPTIMAL)]]
+_FUZZ_DOCS = _DIALECT_DOCS + [export_bristol(_with_nots())]
+# "07" to "true": JSON reads these otherwise than int() does, or not at all
 _FUZZ_TOKENS = st.one_of(st.integers(-2, 48).map(str),
-                         st.sampled_from(["AND", "XOR", "INV", "EQW", "x", "1.5", "",
-                                          "+1", "0_1", "\u0661", "-0", "9" * 5000]))
+                         st.sampled_from(["AND", "XOR", "INV", "EQW", "x", "",
+                                          "+1", "0_1", "\u0661", "-0", "9" * 5000]),
+                         st.sampled_from(["07", "1.5", "1e3", "NaN", "true", "false", "2.0", "1e0"]))
 
 
 @st.composite
@@ -260,15 +275,89 @@ def mutated_bristol(draw):
     return "\n".join(lines)
 
 
+# what may stand between two tokens, or at a line's start, instead of one space
+_FUZZ_SEPARATORS = st.sampled_from(["", ",", "  ", "\t", "\r", "\n", ".", "x"])
+
+
+@st.composite
+def one_token_off(draw):
+    """A document in the writer's dialect with one token, or the space before
+    it, of one gate line replaced, so that the bulk branch reads up to there."""
+    lines = draw(st.sampled_from(_DIALECT_DOCS)).split("\n")
+    i = draw(st.integers(4, len(lines) - 2))  # past the header and the blank line
+    tokens = lines[i].split(" ")
+    k = draw(st.integers(0, len(tokens) - 1))
+    if draw(st.booleans()):
+        tokens[k] = draw(_FUZZ_TOKENS)
+        lines[i] = " ".join(tokens)
+    else:
+        lines[i] = " ".join(tokens[:k]) + draw(_FUZZ_SEPARATORS) + " ".join(tokens[k:])
+    return "\n".join(lines)
+
+
+def _per_line(doc):
+    """import_bristol with the bulk branch declining every document."""
+    with mock.patch.object(io_formats, "_read_canonical", lambda text: None):
+        return import_bristol(doc)
+
+
+def _imported(read, doc):
+    """The gate and output arrays ``read`` makes of ``doc``, or its message."""
+    try:
+        c = read(doc)
+    except BristolFormatError as e:
+        return str(e)
+    return bytes(c._kinds), c._first, c._second, c._ids
+
+
 class TestBristolImportFuzz:
-    @given(mutated_bristol())
-    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(mutated_bristol(), one_token_off()))
+    @settings(max_examples=500, deadline=None)
     def test_valid_circuit_or_format_error(self, doc):
-        try:
-            circuit = import_bristol(doc)
-        except BristolFormatError:
-            return
-        circuit.validate()
+        assert _imported(import_bristol, doc) == _imported(_per_line, doc)
+
+
+class TestBristolImportBranches:
+    @pytest.mark.parametrize("n", [3, 4, 37, 1001, 10000])
+    @pytest.mark.parametrize("construction", [OPTIMAL, BASELINE])
+    def test_writer_dialect_takes_the_bulk_branch(self, monkeypatch, n, construction):
+        doc = export_bristol(synthesize(n, construction))
+        want = _imported(_per_line, doc)
+
+        def refuse(text):
+            raise AssertionError("the per-line parser ran")
+
+        monkeypatch.setattr(io_formats, "_read_lines", refuse)
+        assert _imported(import_bristol, doc) == want
+
+    @pytest.mark.parametrize("doc,message", [
+        ("1 4\n1 3\n1 1\n\n2 1 AND\n0 3 XOR\n", "header declares 1 gates, found 2"),
+        ("1 4\n1 3\n1 1\n\n2 1 0 1 3 XOR\n5 AND\n", "header declares 1 gates, found 2"),
+        ("2 5\n1 3\n1 1\n\n2 1 0 0 3 0 2 1 0 3 4 XOR\n", "header declares 2 gates, found 1"),
+        ("2 5\n1 3\n2 1\n\n2 1 0 1 3 XOR\n2 1 3 2 4 AND\n", "line 3: bad output group declaration"),
+        ("1 4\n1 3\n0\n\n2 1 0 1 3 XOR\n", "circuit must declare at least one output wire"),
+        ("1 4\n1 3\n2 1 1\n\n2 1 0 1 3 XOR\n", "wire count smaller than declared inputs plus outputs"),
+    ], ids=["line-split-at-op", "trailing-fields", "two-gates-one-line", "output-group-sizes",
+            "no-outputs", "more-outputs-than-gates"])
+    def test_near_dialect_takes_the_per_line_parser(self, doc, message):
+        # each reads as a canonical body once line ends are mere separators
+        assert io_formats._read_canonical(doc) is None
+        with pytest.raises(BristolFormatError, match=f"^{message}$"):
+            import_bristol(doc)
+
+    def test_trailing_space_takes_the_per_line_parser(self, monkeypatch):
+        monkeypatch.setattr(io_formats, "_BULK", 1)  # the space is a chunk of its own
+        doc = export_bristol(synthesize(3, OPTIMAL))
+        assert io_formats._read_canonical(doc + " ") is None
+        assert _imported(import_bristol, doc + " ") == _imported(import_bristol, doc)
+
+    @pytest.mark.parametrize("bulk", [1, 30, 1000])
+    def test_chunk_boundaries(self, monkeypatch, bulk):
+        # a step of one character ends every chunk at the next line's end
+        monkeypatch.setattr(io_formats, "_BULK", bulk)
+        for doc in [export_bristol(synthesize(n, c)) for n in range(3, 41) for c in (OPTIMAL, BASELINE)]:
+            assert io_formats._read_canonical(doc) is not None
+            assert _imported(import_bristol, doc) == _imported(_per_line, doc)
 
 
 class TestBristolImportErrors:
@@ -462,6 +551,25 @@ class TestIndependentChecker:
         assert checker.check_bristol(export_bristol(c), n, seed=n) == want
 
 
+# sha256 of export_json(synthesize(n, c), c), recorded from the json.dumps
+# writer; the optimal digests for n >= 4 since XORs have two operands, and
+# TestIndependentChecker holds those documents to the checker
+_PINNED_JSON = [
+    (3, OPTIMAL, "72aca4ecdd49e8a77f6c41b40cc0443fb565aa0895ca9aba455b7b48dd303b57"),
+    (4, OPTIMAL, "87405cc3136f86c749b3418affb365947cfd6adaca71951b84bb4066e4c25003"),
+    (5, OPTIMAL, "c8ba1405d558f6d7f3b703355963a878e491bd2b089e073163c9dad307999ef8"),
+    (6, OPTIMAL, "937de7ded196c1b9c1afaec60dd9a077db3dd30543f2db007d926133e04b54d7"),
+    (37, OPTIMAL, "e0891e13dc19e858402e175f0aa83ab52fcc41de9b0b5ece712c8adc1eb0bfe9"),
+    (1000, OPTIMAL, "a46318db88c114f48fbfc9815e10689135cd1294b0da2d342cec46e04986e4e2"),
+    (3, BASELINE, "345b40fe09314cb9da9f22b9b07d7d98f22efd528fd997682b0c4aa96d71f63a"),
+    (4, BASELINE, "2fc605288aaee9a4970612545c625fce23e8cb3531f81b40668732c48ae67e9f"),
+    (5, BASELINE, "f7c40929a6ca348134ad3e133e80556669d4d183019b8f0d1e0fe67c822361c0"),
+    (6, BASELINE, "8d31e203f528336ee5f6d875159364905f9966689b727c1e4c073318eb892843"),
+    (37, BASELINE, "48465ebc0f870d447a47d35adbb3cde97d838ed0831bda6d60099976500264b8"),
+    (1000, BASELINE, "261d43a102b779ea1cf05749f3eaccbec98658ab3f9626acdcc14273719b6f53"),
+]
+
+
 class TestJson:
     def test_schema(self):
         import json
@@ -479,23 +587,8 @@ class TestJson:
         c = synthesize(4, BASELINE)
         assert export_json(c) == export_json(c)
 
-    # sha256 of export_json(synthesize(n, c), c), recorded from the json.dumps
-    # writer; the optimal digests for n >= 4 since XORs have two operands, and
-    # TestIndependentChecker holds those documents to the checker
-    @pytest.mark.parametrize("n,construction,digest", [
-        (3, OPTIMAL, "72aca4ecdd49e8a77f6c41b40cc0443fb565aa0895ca9aba455b7b48dd303b57"),
-        (4, OPTIMAL, "87405cc3136f86c749b3418affb365947cfd6adaca71951b84bb4066e4c25003"),
-        (5, OPTIMAL, "c8ba1405d558f6d7f3b703355963a878e491bd2b089e073163c9dad307999ef8"),
-        (6, OPTIMAL, "937de7ded196c1b9c1afaec60dd9a077db3dd30543f2db007d926133e04b54d7"),
-        (37, OPTIMAL, "e0891e13dc19e858402e175f0aa83ab52fcc41de9b0b5ece712c8adc1eb0bfe9"),
-        (1000, OPTIMAL, "a46318db88c114f48fbfc9815e10689135cd1294b0da2d342cec46e04986e4e2"),
-        (3, BASELINE, "345b40fe09314cb9da9f22b9b07d7d98f22efd528fd997682b0c4aa96d71f63a"),
-        (4, BASELINE, "2fc605288aaee9a4970612545c625fce23e8cb3531f81b40668732c48ae67e9f"),
-        (5, BASELINE, "f7c40929a6ca348134ad3e133e80556669d4d183019b8f0d1e0fe67c822361c0"),
-        (6, BASELINE, "8d31e203f528336ee5f6d875159364905f9966689b727c1e4c073318eb892843"),
-        (37, BASELINE, "48465ebc0f870d447a47d35adbb3cde97d838ed0831bda6d60099976500264b8"),
-        (1000, BASELINE, "261d43a102b779ea1cf05749f3eaccbec98658ab3f9626acdcc14273719b6f53"),
-    ])
+    @pytest.mark.parametrize("n,construction,digest", _PINNED_JSON,
+                             ids=[f"{c}-n{n}" for n, c, _ in _PINNED_JSON])
     def test_bytes_pinned(self, n, construction, digest):
         text = export_json(synthesize(n, construction), construction)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
