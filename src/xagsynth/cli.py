@@ -32,19 +32,21 @@ _WRITE_SLICE = 1 << 20  # characters per write: the text layer encodes each writ
 def write_atomic(path: str, write: Callable[[TextIO], object]) -> None:
     """Call ``write`` on a temp file in the same directory, then rename it
     onto ``path``; if ``write`` raises, the temp file is removed and
-    ``path`` is left as it was.
+    ``path`` is left as it was. A symlink at ``path`` is written through:
+    the temp file goes beside the file it names, and replaces that.
 
     The file gets the mode a plain ``open()`` would create it with: 0o666
     less the umask. An ``OSError`` is re-raised naming ``path``, never the
     temp file.
     """
-    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp-{os.urandom(8).hex()}")
+    real = os.path.realpath(path)
+    tmp = os.path.join(os.path.dirname(real), f".tmp-{os.urandom(8).hex()}")
     try:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "w") as fh:
                 write(fh)
-            os.replace(tmp, path)
+            os.replace(tmp, real)
         except BaseException:
             if os.path.exists(tmp):
                 os.unlink(tmp)

@@ -121,7 +121,6 @@ def _ints(tokens: list[str], line_no: int) -> list[int]:
 
 # Bristol op -> (kind byte, input wire count)
 _OPS = {"AND": (8, 2), "XOR": (4, 2), "INV": (16, 1)}
-_TWO_OPERAND = {("2", "1", "AND"): 8, ("2", "1", "XOR"): 4}  # keyed by #in, #out, op
 
 
 def import_bristol(text: str) -> Circuit:
@@ -250,36 +249,23 @@ def _read_lines(text: str) -> Circuit:
 
     for no, line in nonempty:
         tokens = line.split()
-        try:  # "2 1 a b w AND|XOR" over defined wires: most lines
-            nin, nout, a, b, out_wire, op = tokens
-            kind = _TWO_OPERAND[nin, nout, op]
-            a, b, out_wire = int(a), int(b), int(out_wire)
-            a, b = a if a < n_inputs else gate_of[a], b if b < n_inputs else gate_of[b]
-        except (ValueError, KeyError):
-            kind = None
-        if kind is None:  # any other line, or one with an error to name
-            if len(tokens) < 4:
-                raise BristolFormatError(f"line {no}: truncated gate line")
-            op = tokens[-1]
-            if op not in _OPS:
-                raise BristolFormatError(f"line {no}: unknown op {op!r}")
-            kind, arity = _OPS[op]
-            try:
-                nin, nout, *in_wires, out_wire = map(int, tokens[:-1])
-            except ValueError:  # convert group by group, so the message names the bad one
-                nin, nout = _ints(tokens[:2], no)
-                in_wires = None
-            if nin != arity or nout != 1:
-                raise BristolFormatError(f"line {no}: {op} must have {arity} inputs, 1 output")
-            if in_wires is None:
-                _ints(tokens[2:-1], no)  # raises: a wire token is not an integer
-            if len(in_wires) != nin:
-                raise BristolFormatError(f"line {no}: expected {nin + 1} wires")
-            ops = [w if w < n_inputs else gate_of.get(w, -1) for w in in_wires]
-            if -1 in ops:
-                w = in_wires[ops.index(-1)]
-                raise BristolFormatError(f"line {no}: wire {w} used before definition")
-            a, b = (*ops, 0)[:2]
+        if len(tokens) < 4:
+            raise BristolFormatError(f"line {no}: truncated gate line")
+        op = tokens[-1]
+        if op not in _OPS:
+            raise BristolFormatError(f"line {no}: unknown op {op!r}")
+        kind, arity = _OPS[op]
+        nin, nout = _ints(tokens[:2], no)
+        if nin != arity or nout != 1:
+            raise BristolFormatError(f"line {no}: {op} must have {arity} inputs, 1 output")
+        *in_wires, out_wire = _ints(tokens[2:-1], no)
+        if len(in_wires) != nin:
+            raise BristolFormatError(f"line {no}: expected {nin + 1} wires")
+        ops = [w if w < n_inputs else gate_of.get(w, -1) for w in in_wires]
+        if -1 in ops:
+            w = in_wires[ops.index(-1)]
+            raise BristolFormatError(f"line {no}: wire {w} used before definition")
+        a, b = (*ops, 0)[:2]
         if not 0 <= out_wire < nwires:
             raise BristolFormatError(f"line {no}: output wire {out_wire} out of range")
         if out_wire < n_inputs or out_wire in gate_of:

@@ -13,8 +13,10 @@ inputs except x_i. Two constructions are provided:
 
 * BASELINE: running prefix products p_i = x_1...x_i and suffix products
   q_i = x_i...x_n, with f_i = p_{i-1} AND q_{i+1}; 3n-6 ANDs. Structurally
-  unrelated to the optimal construction, so it doubles as a differential
-  oracle at arities too large for exhaustive checking.
+  unrelated to the optimal construction. The tests compare the two
+  constructions with each other at n = 101, and each against the closed-form
+  reference at n = 101, 1024 and 4097, arities too large for exhaustive
+  checking.
 
 Both read input x_v as gate v - 1 of a fresh builder. The builder is
 append-only, so every node a later stage reuses is shared by id: the
@@ -37,12 +39,10 @@ BASELINE = "baseline"
 class SynthesisPlan:
     """A synthesized circuit plus its labeled intermediate nodes."""
 
-    __slots__ = ("n", "construction", "circuit", "sigma", "stage2_nodes", "stage_and_counts")
+    __slots__ = ("circuit", "sigma", "stage2_nodes", "stage_and_counts")
 
-    def __init__(self, n: int, construction: str, circuit: Circuit, sigma: int | None,
-                 stage2_nodes: list[int], stage_and_counts: tuple[int, int, int]):
-        self.n = n
-        self.construction = construction
+    def __init__(self, circuit: Circuit, sigma: int | None, stage2_nodes: list[int],
+                 stage_and_counts: tuple[int, int, int]):
         self.circuit = circuit
         self.sigma = sigma  # the sigma_n gate id; None for the baseline
         self.stage2_nodes = stage2_nodes  # the n-1 stage-2 gate ids, in label order
@@ -132,7 +132,7 @@ def synthesize_plan(n: int, construction: str = OPTIMAL) -> SynthesisPlan:
     else:
         raise ValueError(f"unknown construction {construction!r}")
     circuit = builder._finish(_Numbered("f_", len(outputs)), outputs)  # labels f_1..f_n
-    return SynthesisPlan(n, construction, circuit, sigma, stage2_nodes, counts)
+    return SynthesisPlan(circuit, sigma, stage2_nodes, counts)
 
 
 def synthesize(n: int, construction: str = OPTIMAL) -> Circuit:

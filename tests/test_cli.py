@@ -276,6 +276,21 @@ class TestAtomicStreaming:
         assert target.read_text() == "old"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["existing.bristol"]
 
+    @pytest.mark.parametrize("argv,want", [
+        (["synth", "--n", "5", "--out"], lambda: export_bristol(synthesize(5))),
+        (["verify", "--n", "5", "--report"],
+         lambda: json.dumps(check_exhaustive(synthesize(5)).to_dict(), indent=2) + "\n"),
+    ], ids=["synth", "verify"])
+    def test_symlink_is_written_through(self, tmp_path, argv, want):
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        link, target = tmp_path / "a" / "link", tmp_path / "b" / "target"
+        link.symlink_to(os.path.join("..", "b", "target"))
+        for _ in range(2):  # the target new, then replaced
+            assert cli(argv + [str(link)]) == 0
+            assert link.is_symlink() and target.read_text() == want()
+        assert not list(tmp_path.rglob(".tmp-*"))
+
 
 # Runs argv[1:] and prints its exit code and os.wait4 ru_maxrss. Started
 # from this small launcher, the child's peak is its own: a child forked

@@ -445,6 +445,8 @@ class TestBristolImportErrors:
         (_HEAD + "2 1 0 1 " + "9" * 5000 + " AND\n",
          "line 5: expected an integer, got '99999999999999999999' (5000 characters)"),
         (_HEAD + "1 1 0 3 AND\n", "line 5: AND must have 2 inputs, 1 output"),
+        # the op's shape is checked before its wires are read
+        (_HEAD + "1 1 x 3 AND\n", "line 5: AND must have 2 inputs, 1 output"),
         (_HEAD + "2 1 0 1 3 INV\n", "line 5: INV must have 1 inputs, 1 output"),
         (_HEAD + "2 1 0 1 2 3 AND\n", "line 5: expected 3 wires"),
         (_HEAD + "2 1 9 0 3 XOR\n", "line 5: wire 9 used before definition"),
@@ -458,7 +460,14 @@ class TestBristolImportErrors:
         ("1 5\n1 2\n1 1\n\n2 1 0 1 2 XOR\n", "output wire 4 is never driven"),
         # each output wire needs a gate line of its own to drive it
         ("1 6\n1 2\n1 2\n\n2 1 0 1 5 AND\n", "more output wires (2) than gate lines (1)"),
-    ])
+    ], ids=["missing-header", "header-three-fields", "header-not-integer", "no-gate-lines",
+            "gate-count-before-lines", "input-group-sizes", "output-group-sizes", "no-inputs",
+            "input-limit", "no-outputs", "wires-below-inputs-plus-outputs", "plus-sign",
+            "truncated-gate", "unknown-op", "wire-not-integer", "overlong-wire", "and-arity",
+            "arity-before-wires", "inv-arity", "extra-wire", "undefined-first-operand",
+            "undefined-second-operand", "undefined-inv-operand", "output-wire-out-of-range",
+            "output-wire-is-input", "wire-defined-twice", "blank-lines-numbered",
+            "output-never-driven", "more-outputs-than-gates"])
     def test_message_pinned(self, doc, message):
         with pytest.raises(BristolFormatError) as info:
             import_bristol(doc)
