@@ -15,9 +15,10 @@ AND, XOR or NOT. Output gate ids sit in an array beside their labels, strs
 or numbered by index. :attr:`Circuit.gates` and :attr:`Circuit.outputs`
 build tuples on each read; no library path reads either.
 
-The builder appends a gate per ``and_`` or ``not_`` call, a left-associated
-chain of XORs per ``xor`` call and a run of a repeated AND/XOR pattern per
-``run`` call. It performs no algebraic rewriting: what you build is what
+The builder appends AND and XOR gates through one checked path, ``run``: a
+repeated AND/XOR pattern per ``run`` call, one AND per ``and_`` call and a
+left-associated chain of XORs per ``xor`` call are each a run; ``not_``
+appends one NOT. It performs no algebraic rewriting: what you build is what
 you get, and correctness is checked by the independent oracles in
 :mod:`xagsynth.verify`.
 
@@ -53,11 +54,11 @@ _FLAGS = bytes([0]) + bytes([1]) * 255  # plan byte -> reachable flag
 class CircuitBuilder:
     """Single-owner, append-only builder; call :meth:`finish` to freeze a Circuit.
 
-    A new builder holds the inputs: x_v is gate v - 1. Each of :meth:`and_`
-    and :meth:`not_` appends one gate and returns its id, the next dense id;
-    :meth:`xor` appends a chain of two-operand XORs and :meth:`run` a
-    repeated pattern of AND and XOR gates. A construction that wants a node
-    reused keeps its id and passes it again.
+    A new builder holds the inputs: x_v is gate v - 1. :meth:`run` appends a
+    repeated pattern of AND and XOR gates; :meth:`and_` (one AND) and
+    :meth:`xor` (a chain of two-operand XORs) are runs too. :meth:`not_`
+    appends one gate. Ids are dense, in creation order. A construction that
+    wants a node reused keeps its id and passes it again.
     """
 
     def __init__(self, arity: int):
@@ -71,14 +72,8 @@ class CircuitBuilder:
         self.and_gates_created = 0
 
     def and_(self, a: int, b: int) -> int:
-        gid = len(self._kinds)
-        if not (0 <= a < gid and 0 <= b < gid):
-            raise ValueError(f"unknown gate id {b if 0 <= a < gid else a}")
-        self._kinds.append(8)
-        self._first.append(a)
-        self._second.append(b)
-        self.and_gates_created += 1
-        return gid
+        """AND(a, b), a run of one gate. Returns its id."""
+        return self.run([AND], [[a]], [[b]], 1)[0]
 
     def xor(self, *operands: int) -> int:
         """XOR(o1, o2), then XOR(that, o3) and so on: one gate per operand past

@@ -12,6 +12,7 @@ count too large to draw, or running out of memory).
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -37,8 +38,12 @@ def write_atomic(path: str, write: Callable[[TextIO], object]) -> None:
 
     The file gets the mode a plain ``open()`` would create it with: 0o666
     less the umask. An ``OSError`` is re-raised naming ``path``, never the
-    temp file.
+    temp file. A path ``open()`` cannot create a file at (``""``, or one
+    ending in ``/``, ``.`` or ``..``) is refused before realpath makes it one.
     """
+    if os.path.basename(path) in ("", ".", ".."):
+        code = errno.EISDIR if path else errno.ENOENT
+        raise OSError(code, os.strerror(code), path)
     real = os.path.realpath(path)
     tmp = os.path.join(os.path.dirname(real), f".tmp-{os.urandom(8).hex()}")
     try:
@@ -106,7 +111,7 @@ def _cmd_synth(args) -> int:
         f"stage_ands={s1}+{s2}+{s3}",
         file=sys.stderr,
     )
-    if args.out:
+    if args.out is not None:
         write_atomic(args.out, write)
     else:
         write(sys.stdout)
@@ -124,7 +129,7 @@ def _cmd_verify(args) -> int:
     else:
         report = check_sampled(circuit, args.samples, args.seed,
                                expected_and_count=args.expect_ands)
-    if args.report:
+    if args.report is not None:
         write_text_atomic(args.report, json.dumps(report.to_dict(), indent=2) + "\n")
     status = "PASS" if report.passed else "FAIL"
     print(

@@ -12,19 +12,21 @@ inputs except x_i. Two constructions are provided:
   recombines the n linearly independent intermediates into the n outputs.
 
 * BASELINE: running prefix products p_i = x_1...x_i and suffix products
-  q_i = x_i...x_n, with f_i = p_{i-1} AND q_{i+1}; 3n-6 ANDs. Structurally
-  unrelated to the optimal construction. The tests compare the two
-  constructions with each other at n = 101, and each against the closed-form
-  reference at n = 101, 1024 and 4097, arities too large for exhaustive
-  checking.
+  q_i = x_i...x_n, with f_i = p_{i-1} AND q_{i+1}; 3n-6 ANDs, built by
+  :func:`_build_baseline` as three runs, one per product family.
+  Structurally unrelated to the optimal construction. The tests compare the
+  two constructions with each other at n = 101, and each against the
+  closed-form reference at n = 101, 1024 and 4097, arities too large for
+  exhaustive checking.
 
 Both read input x_v as gate v - 1 of a fresh builder. The builder is
 append-only, so every node a later stage reuses is shared by id: the
 cumulative XOR prefixes x_1 XOR ... XOR x_k, and the pair sums
 x_i XOR x_{i+1} that stage 1 builds and stage 2 multiplies by sigma_n. XORs
 are free for the AND count, but sharing keeps the circuit O(n) nodes. Ids
-are arithmetic in n, so the optimal construction emits each regular run, such
-as stage 2's XOR/AND/AND period, with one ``CircuitBuilder.run`` call.
+are arithmetic in n, so each construction emits each regular run, such as
+stage 2's XOR/AND/AND period or the baseline's prefix products, with one
+``CircuitBuilder.run`` call.
 """
 
 from __future__ import annotations
@@ -102,20 +104,16 @@ def _build_optimal(builder: CircuitBuilder, n: int):
 
 
 def _build_baseline(builder: CircuitBuilder, n: int) -> list[int]:
-    and_ = builder.and_
-    x = list(range(-1, n))  # x[v] = gate v - 1, one int shared by its readers
-    p = [None, x[1]]  # p[i] = x_1...x_i
-    for i in range(2, n):
-        p.append(and_(p[i - 1], x[i]))
-    q = [0] * (n + 2)  # q[i] = x_i...x_n
-    q[n] = x[n]
-    for i in range(n - 1, 1, -1):
-        q[i] = and_(x[i], q[i + 1])
-    outputs = [q[2]]
-    for i in range(2, n):
-        outputs.append(and_(p[i - 1], q[i + 1]))
-    outputs.append(p[n - 1])
-    return outputs
+    """Build the 3n-6 AND construction on a fresh arity-n builder as three
+    runs; returns the output ids f_1..f_n."""
+    # p_i = x_1...x_i is gate n + i - 2 for i = 2..n-1, AND(p_{i-1}, x_i); p_1 = x_1 is gate 0
+    p = [0, *range(n, 2 * n - 3)]  # p_1..p_{n-2}
+    builder.run([AND], [p], [range(1, n - 1)], n - 2)
+    # q_i = x_i...x_n is gate 3n - 3 - i for i = n-1 down to 2, AND(x_i, q_{i+1}); q_n = x_n
+    q = [*range(3 * n - 6, 2 * n - 3, -1), n - 1]  # q_3..q_n
+    builder.run([AND], [range(n - 2, 0, -1)], [q[::-1]], n - 2)
+    # f_i = AND(p_{i-1}, q_{i+1}) for i = 2..n-1; f_1 = q_2 and f_n = p_{n-1}
+    return [3 * n - 5, *builder.run([AND], [p], [q], n - 2), 2 * n - 3]
 
 
 def synthesize_plan(n: int, construction: str = OPTIMAL) -> SynthesisPlan:

@@ -4,8 +4,9 @@ Deliberately independent of the package internals: polynomials are lists of
 variable-index tuples, tables are plain lists, and every transform is the
 direct definition (subset sums, pairwise expansion), not the fast path. The
 two helpers that build a circuit, ``retap`` and ``with_zero_outputs``, use
-the public ``Circuit`` constructor; ``reference_optimal`` is the optimal
-construction one gate at a time, ``reference_bristol`` the Bristol writer
+the public ``Circuit`` constructor; ``reference_optimal`` and
+``reference_baseline`` are the two constructions one gate at a time,
+``reference_bristol`` the Bristol writer
 one line at a time, and ``patch_optimal`` and its two mutants wrap the
 library's construction for mutation tests.
 """
@@ -181,6 +182,26 @@ def reference_optimal(builder, n):
     if not odd:
         outputs.append(stage2[-1])
     return sigma, stage2, outputs, (c1, c2 - c1, builder.and_gates_created - c2)
+
+
+def reference_baseline(builder, n):
+    """The baseline construction one builder call per gate: the reference
+    for ``synth._build_baseline``, which emits the same gates in three runs.
+    Returns the output ids."""
+    and_ = builder.and_
+    x = list(range(-1, n))  # x[v] = gate v - 1, one int shared by its readers
+    p = [None, x[1]]  # p[i] = x_1...x_i
+    for i in range(2, n):
+        p.append(and_(p[i - 1], x[i]))
+    q = [0] * (n + 2)  # q[i] = x_i...x_n
+    q[n] = x[n]
+    for i in range(n - 1, 1, -1):
+        q[i] = and_(x[i], q[i + 1])
+    outputs = [q[2]]
+    for i in range(2, n):
+        outputs.append(and_(p[i - 1], q[i + 1]))
+    outputs.append(p[n - 1])
+    return outputs
 
 
 def patch_optimal(monkeypatch, change):

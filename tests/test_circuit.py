@@ -68,8 +68,12 @@ class TestBuilder:
 
     def test_unknown_operand_rejected(self):
         b = CircuitBuilder(2)
-        with pytest.raises(ValueError):
+        before = builder_state(b)
+        with pytest.raises(ValueError, match="^unknown gate id 99$"):
             b.and_(0, 99)
+        with pytest.raises(ValueError, match="^unknown gate id 7$"):  # first operand first
+            b.and_(7, 99)
+        assert builder_state(b) == before
 
     def test_xor_needs_two_operands(self):
         b = CircuitBuilder(2)
@@ -122,17 +126,18 @@ class TestRun:
     """``CircuitBuilder.run``: a repeated AND/XOR pattern in one call."""
 
     def test_matches_one_call_per_gate(self):
-        bulk, single = CircuitBuilder(4), CircuitBuilder(4)
-        bulk.xor(0, 1)
-        single.xor(0, 1)
-        ids = bulk.run([XOR, AND, AND], [range(0, 3), [4, 5, 6], range(1, 10, 4)],
-                       [array("i", [3, 3, 3]), range(2, 5), [0, 0, 0]], 3)
+        # the gates written out one by one, not built through the builder
+        b = CircuitBuilder(4)
+        b.xor(0, 1)
+        ids = b.run([XOR, AND, AND], [range(0, 3), [4, 5, 6], range(1, 10, 4)],
+                    [array("i", [3, 3, 3]), range(2, 5), [0, 0, 0]], 3)
         assert ids == range(5, 14)
-        for r in range(3):
-            single.xor(r, 3)
-            single.and_([4, 5, 6][r], 2 + r)
-            single.and_(1 + 4 * r, 0)
-        assert builder_state(bulk) == builder_state(single)
+        assert b.finish([]).gates == (("INPUT",),) * 4 + (
+            ("XOR", 0, 1),
+            ("XOR", 0, 3), ("AND", 4, 2), ("AND", 1, 0),
+            ("XOR", 1, 3), ("AND", 5, 3), ("AND", 5, 0),
+            ("XOR", 2, 3), ("AND", 6, 4), ("AND", 9, 0))
+        assert b.and_gates_created == 6
 
     def test_and_count_grows_by_the_patterns_ands(self):
         b = CircuitBuilder(2)

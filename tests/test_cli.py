@@ -247,6 +247,25 @@ class TestIOErrors:
         assert str(target) in err and ".tmp-" not in err
         assert not list(tmp_path.rglob(".tmp-*"))
 
+    # realpath drops what makes these paths name no file: "" is the working
+    # directory, and "new.bristol/" and "new.bristol/." a file new.bristol
+    @pytest.mark.parametrize("path,error", [("", "[Errno 2] No such file or directory"),
+                                            ("new.bristol/", "[Errno 21] Is a directory"),
+                                            ("new.bristol/.", "[Errno 21] Is a directory")],
+                             ids=["empty", "slash", "dot"])
+    @pytest.mark.parametrize("argv", [["synth", "--n", "3", "--out"],
+                                      ["verify", "--n", "3", "--report"]],
+                             ids=["synth", "verify"])
+    def test_path_naming_no_file_is_refused(self, tmp_path, monkeypatch, capsys, argv,
+                                            path, error):
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        assert cli(argv + [path]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.endswith(f"error: {error}: {path!r}\n")
+        assert list(tmp_path.rglob("*")) == [cwd]  # no file, no .tmp-*
+
 
 class TestAtomicStreaming:
     def test_text_is_encoded_a_slice_at_a_time(self, tmp_path):

@@ -20,7 +20,7 @@ from xagsynth.circuit import CircuitBuilder
 from xagsynth.verify import gate_anfs
 
 from oracles import (all_inputs, leave_one_out_reference, mono, naive_anf_terms,
-                     reference_optimal, vars_of)
+                     reference_baseline, reference_optimal, vars_of)
 
 
 def anf_of_node(plan, gid):
@@ -190,11 +190,15 @@ class TestSynthesize:
             assert reference_anf(n, k) == reference_anf(n, k - 1) + s[k - 1]
 
 
-def assert_matches_reference(n):
+def assert_matches_reference(n, construction):
     """The bulk construction emits exactly the gates, in the same order, and
     names exactly the nodes that the one-call-per-gate reference does."""
-    plan, b = synthesize_plan(n), CircuitBuilder(n)
-    sigma, stage2, outputs, counts = reference_optimal(b, n)
+    plan, b = synthesize_plan(n, construction), CircuitBuilder(n)
+    if construction == OPTIMAL:
+        sigma, stage2, outputs, counts = reference_optimal(b, n)
+    else:
+        sigma, stage2, outputs = None, [], reference_baseline(b, n)
+        counts = (b.and_gates_created, 0, 0)
     c = plan.circuit
     assert bytes(c._kinds) == bytes(b._kinds)
     assert c._first == b._first and c._second == b._second
@@ -203,14 +207,15 @@ def assert_matches_reference(n):
 
 
 class TestBulkConstruction:
-    @given(st.integers(3, 3000))
-    @settings(max_examples=50, deadline=None)
-    def test_matches_one_call_per_gate(self, n):
-        assert_matches_reference(n)
+    @given(st.integers(3, 3000), st.sampled_from([OPTIMAL, BASELINE]))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_one_call_per_gate(self, n, construction):
+        assert_matches_reference(n, construction)
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 16384, 16385, 50001])
     def test_matches_one_call_per_gate_at_fixed_n(self, n):
-        assert_matches_reference(n)
+        for construction in (OPTIMAL, BASELINE):
+            assert_matches_reference(n, construction)
 
 
 class TestDegreeLowerBound:
