@@ -30,6 +30,18 @@ EXIT_USAGE = 2
 _WRITE_SLICE = 1 << 20  # characters per write: the text layer encodes each write whole
 
 
+def _check_out_path(path: str) -> None:
+    """Raise an ``OSError`` naming ``path`` if ``open(path, "w")`` cannot create
+    a file there: its last part is empty, ``.`` or ``..``, or its parent does
+    not resolve as given, as ``missing/..`` does not though realpath reads it."""
+    try:
+        if os.path.basename(path) in ("", ".", ".."):  # a directory, or none
+            raise OSError(errno.EISDIR if path else errno.ENOENT, "")
+        os.stat(os.path.join(os.path.dirname(path) or ".", ""))  # the parent, as the OS sees it
+    except OSError as exc:
+        raise OSError(exc.errno, os.strerror(exc.errno), path) from None
+
+
 def write_atomic(path: str, write: Callable[[TextIO], object]) -> None:
     """Call ``write`` on a temp file in the same directory, then rename it
     onto ``path``; if ``write`` raises, the temp file is removed and
@@ -38,12 +50,10 @@ def write_atomic(path: str, write: Callable[[TextIO], object]) -> None:
 
     The file gets the mode a plain ``open()`` would create it with: 0o666
     less the umask. An ``OSError`` is re-raised naming ``path``, never the
-    temp file. A path ``open()`` cannot create a file at (``""``, or one
-    ending in ``/``, ``.`` or ``..``) is refused before realpath makes it one.
+    temp file. A path :func:`_check_out_path` refuses is refused before
+    realpath resolves it.
     """
-    if os.path.basename(path) in ("", ".", ".."):
-        code = errno.EISDIR if path else errno.ENOENT
-        raise OSError(code, os.strerror(code), path)
+    _check_out_path(path)
     real = os.path.realpath(path)
     tmp = os.path.join(os.path.dirname(real), f".tmp-{os.urandom(8).hex()}")
     try:
@@ -99,6 +109,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_synth(args) -> int:
+    if args.out is not None:  # refused before synthesis, which may take long
+        _check_out_path(args.out)
     plan = synthesize_plan(args.n, args.construction)
     circuit, (s1, s2, s3) = plan.circuit, plan.stage_and_counts
     del plan  # its stage-2 ids are not needed past here
@@ -123,6 +135,8 @@ def _cmd_verify(args) -> int:
     # long before check_exhaustive would apply the same cap
     if args.mode == "exhaustive" and args.n > MAX_DENSE_ARITY:
         raise ValueError(f"exhaustive check limited to arity {MAX_DENSE_ARITY}")
+    if args.report is not None:
+        _check_out_path(args.report)
     circuit = synthesize(args.n, args.construction)
     if args.mode == "exhaustive":
         report = check_exhaustive(circuit, expected_and_count=args.expect_ands)

@@ -4,15 +4,19 @@ Deliberately independent of the package internals: polynomials are lists of
 variable-index tuples, tables are plain lists, and every transform is the
 direct definition (subset sums, pairwise expansion), not the fast path. The
 two helpers that build a circuit, ``retap`` and ``with_zero_outputs``, use
-the public ``Circuit`` constructor; ``reference_optimal`` and
-``reference_baseline`` are the two constructions one gate at a time,
-``reference_bristol`` the Bristol writer
-one line at a time, and ``patch_optimal`` and its two mutants wrap the
-library's construction for mutation tests.
+the public ``Circuit`` constructor. ``reference_optimal`` and
+``reference_baseline`` are the two constructions one gate at a time, as
+plain ``(kind, a, b)`` tuples appended to a list: they share no code with
+the library's builder, so a fault in ``CircuitBuilder.run`` cannot show on
+both sides of a comparison. ``reference_bristol`` is the Bristol writer one
+line at a time, and ``patch_optimal`` and its two mutants wrap the library's
+construction for mutation tests. ``traced`` measures what a call allocates.
 """
 
 import json
 import random
+import tracemalloc
+from functools import partial
 from itertools import product
 
 from xagsynth import Circuit, synth
@@ -127,6 +131,18 @@ def naive_gf2_rank(rows):
     return rank
 
 
+def traced(call):
+    """``call()`` under tracemalloc: its result, then the bytes still held
+    with the result alive and the peak, both counted from the start."""
+    tracemalloc.start()
+    try:
+        result = call()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, held, peak
+
+
 def retap(circuit, k, gid):
     """``circuit`` with output k re-tapped at gate ``gid``, sharing its gates."""
     outputs = list(circuit.outputs)
@@ -142,12 +158,29 @@ def with_zero_outputs(circuit, indices):
     return Circuit(circuit.arity, gates + (("XOR", 0, 0),), outputs)
 
 
-def reference_optimal(builder, n):
-    """The optimal construction one builder call per gate: the reference
-    for ``synth._build_optimal``, which emits the same gates in bulk runs.
-    Returns the sigma_n id, the stage-2 ids, the output ids and the ANDs
-    each stage added."""
-    and_, xor = builder.and_, builder.xor
+def _gate_list(n):
+    """An empty construction over plain tuples: the gate list, as
+    ``Circuit.gates`` lists gates, and ``and_``/``xor``, which append one
+    two-operand gate to it and return the new gate's id."""
+    gates = [("INPUT",)] * n
+
+    def append(kind, a, b):
+        gates.append((kind, a, b))
+        return len(gates) - 1
+
+    return gates, partial(append, "AND"), partial(append, "XOR")
+
+
+def _ands(gates, start, stop):
+    return [gate[0] for gate in gates[start:stop]].count("AND")
+
+
+def reference_optimal(n):
+    """The optimal construction one gate at a time, in plain tuples: the
+    reference for ``synth._build_optimal``, which emits the same gates in
+    bulk runs. Returns the gates, the sigma_n id, the stage-2 ids, the
+    output ids and the ANDs each stage added."""
+    gates, and_, xor = _gate_list(n)
     x = list(range(-1, n))  # x[v] = gate v - 1, one int shared by its readers
     odd = n % 2
 
@@ -164,7 +197,7 @@ def reference_optimal(builder, n):
     if not odd:
         previous = sigma  # sigma_{n-1}
         sigma = and_(previous, prefix[n])
-    c1 = builder.and_gates_created
+    end1 = len(gates)
 
     # stage 2: pair products (x_i XOR x_{i+1}) AND sigma_n; for even n the
     # last one is sigma_{n-1} AND prefix[n-1]
@@ -172,23 +205,27 @@ def reference_optimal(builder, n):
               for i in range(1, n if odd else n - 1)]
     if not odd:
         stage2.append(and_(previous, prefix[n - 1]))
-    c2 = builder.and_gates_created
+    end2 = len(gates)
 
     # stage 3, XOR only
-    first = [sigma] if odd else [sigma, stage2[-1]]
-    outputs = [xor(*first, *stage2[1::2])]
+    f1 = sigma if odd else xor(sigma, stage2[-1])
+    for s in stage2[1::2]:
+        f1 = xor(f1, s)
+    outputs = [f1]
     for s in (stage2 if odd else stage2[:-1]):
         outputs.append(xor(outputs[-1], s))
     if not odd:
         outputs.append(stage2[-1])
-    return sigma, stage2, outputs, (c1, c2 - c1, builder.and_gates_created - c2)
+    counts = (_ands(gates, n, end1), _ands(gates, end1, end2), _ands(gates, end2, None))
+    return gates, sigma, stage2, outputs, counts
 
 
-def reference_baseline(builder, n):
-    """The baseline construction one builder call per gate: the reference
-    for ``synth._build_baseline``, which emits the same gates in three runs.
-    Returns the output ids."""
-    and_ = builder.and_
+def reference_baseline(n):
+    """The baseline construction one gate at a time, in plain tuples: the
+    reference for ``synth._build_baseline``, which emits the same gates in
+    three runs. Returns what ``reference_optimal`` does, with no sigma_n and
+    no stage-2 ids."""
+    gates, and_, _ = _gate_list(n)
     x = list(range(-1, n))  # x[v] = gate v - 1, one int shared by its readers
     p = [None, x[1]]  # p[i] = x_1...x_i
     for i in range(2, n):
@@ -201,7 +238,7 @@ def reference_baseline(builder, n):
     for i in range(2, n):
         outputs.append(and_(p[i - 1], q[i + 1]))
     outputs.append(p[n - 1])
-    return outputs
+    return gates, None, [], outputs, (_ands(gates, n, None), 0, 0)
 
 
 def patch_optimal(monkeypatch, change):

@@ -142,11 +142,6 @@ monomials = st.integers(min_value=0, max_value=255)
 anfs8 = st.frozensets(monomials, max_size=12).map(lambda ts: Anf(8, ts))
 
 
-@st.composite
-def anf_pairs(draw):
-    return draw(anfs8), draw(anfs8)
-
-
 class TestProperties:
     @given(anfs8, anfs8, anfs8)
     @settings(max_examples=40, deadline=None)

@@ -1,6 +1,5 @@
 import hashlib
 import random
-import tracemalloc
 from array import array
 
 import pytest
@@ -12,7 +11,7 @@ from xagsynth import (AND, BASELINE, NOT, OPTIMAL, XOR, Circuit, CircuitBuilder,
 from xagsynth.verify import gate_anfs
 
 from oracles import (all_inputs, naive_anf_table, naive_anf_value, naive_eval, naive_reachable,
-                     retap, table_int, vars_of, with_zero_outputs)
+                     retap, table_int, traced, vars_of, with_zero_outputs)
 
 
 def sigma3_builder():
@@ -201,22 +200,18 @@ class TestRun:
 
 class TestEval:
     def test_all_ones_input(self):
-        from xagsynth import synthesize
         c = synthesize(3)
         assert c.output_columns([1, 1, 1], 1) == [1, 1, 1]
 
     def test_two_zeros_kill_everything(self):
-        from xagsynth import synthesize
         c = synthesize(4)
         assert c.output_columns([1, 0, 0, 1], 1) == [0, 0, 0, 0]
 
     def test_single_zero_selects_one_output(self):
-        from xagsynth import synthesize
         c = synthesize(4)
         assert c.output_columns([1, 0, 1, 1], 1) == [0, 1, 0, 0]
 
     def test_wrong_input_length(self):
-        from xagsynth import synthesize
         with pytest.raises(ValueError):
             synthesize(3).output_columns([1, 1], 1)
 
@@ -281,27 +276,18 @@ class TestEval:
     def test_drop_plan_costs_bytes_per_gate(self):
         # the first pass builds and keeps a plan byte per gate; an int per
         # gate would cost about 32 B/gate on its own
-        from xagsynth import synthesize
         c = synthesize(20000)
         gates = len(c.gates)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            out = c.output_columns([1] * c.arity, 1)
-            peak = tracemalloc.get_traced_memory()[1]
-            del out
-            plan = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
-        assert (peak - base) / gates < 24, (peak - base) / gates
-        assert (plan - base) / gates < 4, (plan - base) / gates
+        # the columns are dropped before the held bytes are read: len keeps none
+        _, plan, peak = traced(lambda: len(c.output_columns([1] * c.arity, 1)))
+        assert peak / gates < 24, peak / gates
+        assert plan / gates < 4, plan / gates
 
     def test_plan_walk_fills_the_reachable_flags(self):
         # the plan walk skips dead gates, so its nonzero bytes are exactly
         # the reachable gates, each past the inputs holding its kind byte; a
         # dead gate's operands stay dead unless a live gate reads them, and
         # the pass still matches the oracle
-        from xagsynth import synthesize
         b = CircuitBuilder(3)
         x1, x2, x3 = 0, 1, 2
         wide = b.xor(x1, x2, b.not_(x3))  # a dead chain, like the NOT it reads
@@ -331,7 +317,6 @@ class TestEval:
         assert hand.reachable() == bytearray([1, 1, 0, 0, 0, 0, 0, 0, 1, 1])
 
     def test_input_columns_may_be_a_generator(self):
-        from xagsynth import synthesize
         c = synthesize(9)
         rng = random.Random(3)
         columns = [rng.getrandbits(100) for _ in range(9)]
@@ -346,12 +331,7 @@ class TestEval:
             g = b.not_(g)
         c = b.finish([("y", g)])
         x = (1 << width) - 1
-        tracemalloc.start()
-        try:
-            (y,) = c.output_columns([x], width)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        (y,), _, peak = traced(lambda: c.output_columns([x], width))
         assert y == x
         assert peak < 8 * (width // 8)  # a few live columns, not one per gate
 
@@ -421,12 +401,7 @@ class TestLayout:
     def test_memory_per_gate(self):
         # one kind byte and two 4-byte operands per gate and a 4-byte id
         # per output: about 10 B/gate
-        tracemalloc.start()
-        try:
-            c = synthesize(20000)
-            held = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
+        c, held, _ = traced(lambda: synthesize(20000))
         gates = len(c.gates)
         assert held / gates < 16, held / gates
 
@@ -437,7 +412,6 @@ class TestAndCount:
         assert b.finish([("s", s)]).and_count() == 1
 
     def test_counts_for_n7(self):
-        from xagsynth import BASELINE, OPTIMAL, synthesize
         assert synthesize(7, OPTIMAL).and_count() == 11
         assert synthesize(7, BASELINE).and_count() == 15
 
@@ -455,7 +429,6 @@ class TestAndCount:
         assert c.and_count() == 0
 
     def test_retapped_circuit_gets_its_own_structural_pass(self):
-        from xagsynth import synthesize
         c = synthesize(9)
         assert c.and_count() == 15  # fills the original's cache first
         dead = c
@@ -532,7 +505,6 @@ class TestStructure:
             Circuit(arity, gates, ())
 
     def test_output_columns_rejects_wrong_column_count(self):
-        from xagsynth import synthesize
         c = synthesize(3)
         for columns in ([1, 1], [1, 1, 1, 1]):
             for given in (columns, (col for col in columns)):
@@ -563,6 +535,17 @@ def random_circuits(draw):
     return b.finish([(f"o{k}", g) for k, g in enumerate(outs, start=1)])
 
 
+def copy_gates(c, b, mapping, not_):
+    """Append ``c``'s non-input gates to builder ``b``, each NOT as
+    ``not_(operand)``; ``mapping`` takes each id of ``c`` to its copy."""
+    for gid, (kind, *ops) in enumerate(c.gates[c.arity:], c.arity):
+        ops = [mapping[o] for o in ops]
+        if kind == NOT:
+            mapping[gid] = not_(*ops)
+        else:
+            mapping[gid] = (b.and_ if kind == AND else b.xor)(*ops)
+
+
 class TestEvalAgreement:
     @given(random_circuits())
     @settings(max_examples=40, deadline=None)
@@ -585,15 +568,8 @@ class TestEvalAgreement:
     def test_not_elimination_preserves_semantics_and_ands(self, c):
         b = CircuitBuilder(c.arity)
         mapping = {v: v for v in range(c.arity)}
-        for gid, gate in enumerate(c.gates[c.arity:], c.arity):
-            kind = gate[0]
-            if kind == AND:
-                mapping[gid] = b.and_(mapping[gate[1]], mapping[gate[2]])
-            elif kind == XOR:
-                mapping[gid] = b.xor(*(mapping[o] for o in gate[1:]))
-            else:  # NOT -> XOR with constant one
-                x = mapping[gate[1]]
-                mapping[gid] = b.xor(b.not_(b.xor(x, x)), x)
+        # NOT -> XOR with constant one
+        copy_gates(c, b, mapping, lambda x: b.xor(b.not_(b.xor(x, x)), x))
         c2 = b.finish([(lbl, mapping[g]) for lbl, g in c.outputs])
         assert c2.eval_all() == c.eval_all()
         assert c2.and_count() == c.and_count()
@@ -606,14 +582,7 @@ class TestEvalAgreement:
         b = CircuitBuilder(c.arity)
         mapping = {v: v for v in range(c.arity)}
         for _ in range(2):
-            for gid, gate in enumerate(c.gates[c.arity:], c.arity):
-                kind = gate[0]
-                if kind == NOT:
-                    mapping[gid] = b.not_(mapping[gate[1]])
-                elif kind == AND:
-                    mapping[gid] = b.and_(mapping[gate[1]], mapping[gate[2]])
-                else:
-                    mapping[gid] = b.xor(*(mapping[o] for o in gate[1:]))
+            copy_gates(c, b, mapping, b.not_)
         c2 = b.finish([(lbl, mapping[g]) for lbl, g in c.outputs])
         assert c2.gates[:len(c.gates)] == c.gates
         assert len(c2.gates) == 2 * len(c.gates) - c.arity

@@ -5,7 +5,6 @@ import stat
 import subprocess
 import sys
 import time
-import tracemalloc
 
 import pytest
 
@@ -23,7 +22,7 @@ from xagsynth import (
 )
 from xagsynth.cli import cli, write_text_atomic
 
-from oracles import patch_optimal, stage2_at_one_and
+from oracles import patch_optimal, stage2_at_one_and, traced
 
 
 class TestSynthCommand:
@@ -100,13 +99,13 @@ class TestSynthCommand:
             assert len(builds) == 1, argv
 
 
-def test_no_library_path_reads_the_gate_tuples(monkeypatch, tmp_path):
-    # Circuit.gates builds a tuple per gate on every call; every command and
-    # the Bristol-to-JSON conversion must run on the packed arrays alone
+def _every_command_without(monkeypatch, tmp_path, view):
+    """Every command and the Bristol-to-JSON conversion, with the ``Circuit``
+    property ``view`` made to raise; returns the converted JSON document."""
     def refuse(self):
-        raise AssertionError("Circuit.gates was read")
+        raise AssertionError(f"Circuit.{view} was read")
 
-    monkeypatch.setattr(Circuit, "gates", property(refuse))
+    monkeypatch.setattr(Circuit, view, property(refuse))
     for fmt in ("bristol", "dot", "json"):
         assert cli(["synth", "--n", "9", "--format", fmt, "--out", str(tmp_path / fmt)]) == 0
     for argv in (["verify", "--n", "9", "--mode", "exhaustive"],
@@ -115,25 +114,20 @@ def test_no_library_path_reads_the_gate_tuples(monkeypatch, tmp_path):
         assert cli(argv) == 0, argv
     circuit = import_bristol((tmp_path / "bristol").read_text())
     write_text_atomic(str(tmp_path / "c.json"), export_json(circuit))
-    assert json.loads((tmp_path / "c.json").read_text())["and_count"] == 15
+    return json.loads((tmp_path / "c.json").read_text())
+
+
+def test_no_library_path_reads_the_gate_tuples(monkeypatch, tmp_path):
+    # Circuit.gates builds a tuple per gate on every call; every command and
+    # the Bristol-to-JSON conversion must run on the packed arrays alone
+    assert _every_command_without(monkeypatch, tmp_path, "gates")["and_count"] == 15
 
 
 def test_no_library_path_reads_the_output_pairs(monkeypatch, tmp_path):
     # Circuit.outputs builds a (label, id) tuple per output on every call;
     # every command and the Bristol-to-JSON conversion must read the ids array
-    def refuse(self):
-        raise AssertionError("Circuit.outputs was read")
-
-    monkeypatch.setattr(Circuit, "outputs", property(refuse))
-    for fmt in ("bristol", "dot", "json"):
-        assert cli(["synth", "--n", "9", "--format", fmt, "--out", str(tmp_path / fmt)]) == 0
-    for argv in (["verify", "--n", "9", "--mode", "exhaustive"],
-                 ["verify", "--n", "9", "--mode", "sample", "--samples", "100"],
-                 ["stats", "--n", "9"], ["lemmas", "--max-n", "6"]):
-        assert cli(argv) == 0, argv
-    circuit = import_bristol((tmp_path / "bristol").read_text())
-    write_text_atomic(str(tmp_path / "c.json"), export_json(circuit))
-    assert json.loads((tmp_path / "c.json").read_text())["outputs"][-1]["label"] == "o9"
+    doc = _every_command_without(monkeypatch, tmp_path, "outputs")
+    assert doc["outputs"][-1]["label"] == "o9"
 
 
 class TestVerifyCommand:
@@ -247,23 +241,33 @@ class TestIOErrors:
         assert str(target) in err and ".tmp-" not in err
         assert not list(tmp_path.rglob(".tmp-*"))
 
-    # realpath drops what makes these paths name no file: "" is the working
-    # directory, and "new.bristol/" and "new.bristol/." a file new.bristol
-    @pytest.mark.parametrize("path,error", [("", "[Errno 2] No such file or directory"),
+    # realpath drops what makes the last four paths name no file: "" is the
+    # working directory, "new.bristol/" and "new.bristol/." a file
+    # new.bristol, and "missing/../new.bristol" a file in the working
+    # directory. Each path is refused before synthesis, which raises here
+    @pytest.mark.parametrize("path,error", [("missing/new.bristol",
+                                             "[Errno 2] No such file or directory"),
+                                            ("", "[Errno 2] No such file or directory"),
                                             ("new.bristol/", "[Errno 21] Is a directory"),
-                                            ("new.bristol/.", "[Errno 21] Is a directory")],
-                             ids=["empty", "slash", "dot"])
+                                            ("new.bristol/.", "[Errno 21] Is a directory"),
+                                            ("missing/../new.bristol",
+                                             "[Errno 2] No such file or directory")],
+                             ids=["missing-dir", "empty", "slash", "dot", "missing-parent"])
     @pytest.mark.parametrize("argv", [["synth", "--n", "3", "--out"],
                                       ["verify", "--n", "3", "--report"]],
                              ids=["synth", "verify"])
     def test_path_naming_no_file_is_refused(self, tmp_path, monkeypatch, capsys, argv,
                                             path, error):
+        def refuse(*args):
+            raise AssertionError("synthesized before the path was checked")
+
+        monkeypatch.setattr("xagsynth.cli.synthesize_plan", refuse)
+        monkeypatch.setattr("xagsynth.cli.synthesize", refuse)
         cwd = tmp_path / "cwd"
         cwd.mkdir()
         monkeypatch.chdir(cwd)
         assert cli(argv + [path]) == 2
-        out, err = capsys.readouterr()
-        assert out == "" and err.endswith(f"error: {error}: {path!r}\n")
+        assert capsys.readouterr() == ("", f"error: {error}: {path!r}\n")
         assert list(tmp_path.rglob("*")) == [cwd]  # no file, no .tmp-*
 
 
@@ -272,12 +276,7 @@ class TestAtomicStreaming:
         # one write of the whole text would encode a second full copy
         text = "0123456789abcde\n" * (1 << 19)  # 8 MiB
         target = tmp_path / "t.json"
-        tracemalloc.start()
-        try:
-            write_text_atomic(str(target), text)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, _, peak = traced(lambda: write_text_atomic(str(target), text))
         assert target.read_text() == text
         assert peak < 3 << 20, peak
 
@@ -321,10 +320,13 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 """
 
 
+_SRC = os.path.dirname(os.path.dirname(xagsynth.__file__))  # on a child's PYTHONPATH
+
+
 def _child_peak_mib(argv):
     """Peak RSS of a fresh interpreter running ``argv`` against this package."""
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(xagsynth.__file__)))
-    out = subprocess.run([sys.executable, "-c", _LAUNCH, sys.executable, *argv], env=env,
+    out = subprocess.run([sys.executable, "-c", _LAUNCH, sys.executable, *argv],
+                         env=dict(os.environ, PYTHONPATH=_SRC),
                          capture_output=True, text=True, check=True).stdout
     code, kib = map(int, out.split())
     assert code == 0, argv
@@ -347,10 +349,9 @@ def test_benchmark_tracer_finds_the_names_it_wraps():
     # a per-layer metric whose function was renamed away reads 0 silently;
     # io_formats.export_bristol is the one known stale name (synth streams
     # through write_bristol, and the tracer still looks in cli)
-    src = os.path.dirname(os.path.dirname(xagsynth.__file__))
-    perfbench = os.path.join(os.path.dirname(src), "perfbench")
+    perfbench = os.path.join(os.path.dirname(_SRC), "perfbench")
     out = subprocess.run([sys.executable, "-c", _TRACER_MISSING, perfbench],
-                         env=dict(os.environ, PYTHONPATH=src),
+                         env=dict(os.environ, PYTHONPATH=_SRC),
                          capture_output=True, text=True, check=True).stdout
     assert set(json.loads(out)) <= {"io_formats.export_bristol"}
 
@@ -358,10 +359,9 @@ def test_benchmark_tracer_finds_the_names_it_wraps():
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     # each costs every CLI run start-up time; a fact, not a timing, so it
     # cannot flake on a slow host
-    src = os.path.dirname(os.path.dirname(xagsynth.__file__))
     code = ("import sys, xagsynth.cli; "
             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
-    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=_SRC),
                          capture_output=True, text=True, check=True).stdout
     assert out == "[]\n"
 
@@ -429,14 +429,9 @@ class TestResourceErrors:
         assert capsys.readouterr().err.startswith("error: ")
 
     def test_exhaustive_beyond_dense_cap_refused_before_synthesis(self, capsys):
-        tracemalloc.start()
         t0 = time.perf_counter()
-        try:
-            rc = cli(["verify", "--n", "300000"])
-            elapsed = time.perf_counter() - t0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        rc, _, peak = traced(lambda: cli(["verify", "--n", "300000"]))
+        elapsed = time.perf_counter() - t0
         assert rc == 2
         assert capsys.readouterr().err == "error: exhaustive check limited to arity 24\n"
         assert elapsed < 0.5 and peak < 8 << 20, (elapsed, peak)

@@ -4,7 +4,6 @@ import json
 import random
 import re
 import time
-import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -28,7 +27,7 @@ from xagsynth import (
     synthesize,
 )
 
-from oracles import all_inputs, json_dumps_circuit, naive_eval, reference_bristol
+from oracles import all_inputs, json_dumps_circuit, naive_eval, reference_bristol, traced
 
 
 def and_lines(doc):
@@ -90,6 +89,16 @@ def _random_circuit(rng):
     return b.finish([(f"o{k}", rng.randrange(size)) for k in range(rng.randint(1, 5))])
 
 
+def _hand_built():
+    """A NOT, a three-operand xor chain, an unreachable AND, two outputs on
+    one gate and one output on an input."""
+    b = CircuitBuilder(3)
+    n1 = b.not_(0)
+    b.and_(1, 2)  # unreachable
+    y = b.xor(b.and_(n1, 1), 2, n1)
+    return b.finish([("y", y), ("y again", y), ("x2", 1)])
+
+
 class TestBristolExport:
     def test_n3_optimal_has_three_and_lines(self):
         assert len(and_lines(export_bristol(synthesize(3, OPTIMAL)))) == 3
@@ -125,17 +134,11 @@ class TestBristolExport:
         assert hashlib.sha256(export_bristol(c).encode()).hexdigest() == bristol
         assert hashlib.sha256(export_dot(c).encode()).hexdigest() == dot
 
-    # sha256 of the three exports of a hand-built circuit with a NOT, a
-    # three-operand xor chain, an unreachable AND, two outputs on one gate and one
-    # output on an input; the Bristol digest was recorded when the Bristol
-    # lowering still allocated wires through a counter, the JSON and DOT
-    # digests since XORs have two operands
+    # sha256 of the three exports of _hand_built(); the Bristol digest was
+    # recorded when the Bristol lowering still allocated wires through a
+    # counter, the JSON and DOT digests since XORs have two operands
     def test_hand_built_bytes_pinned(self):
-        b = CircuitBuilder(3)
-        n1 = b.not_(0)
-        b.and_(1, 2)  # unreachable
-        y = b.xor(b.and_(n1, 1), 2, n1)
-        c = b.finish([("y", y), ("y again", y), ("x2", 1)])
+        c = _hand_built()
         digests = [hashlib.sha256(f(c).encode()).hexdigest()
                    for f in (export_bristol, export_json, export_dot)]
         assert digests == [
@@ -148,11 +151,7 @@ class TestBristolExport:
     def test_hand_built_writers_match_exports(self, tmp_path, monkeypatch, chunk):
         # the pinned circuit above, streamed into a file; at one and two items
         # per write, chunk boundaries fall all through the document
-        b = CircuitBuilder(3)
-        n1 = b.not_(0)
-        b.and_(1, 2)  # unreachable
-        y = b.xor(b.and_(n1, 1), 2, n1)
-        c = b.finish([("y", y), ("y again", y), ("x2", 1)])
+        c = _hand_built()
         writers = {io_formats.write_bristol: export_bristol(c),
                    io_formats.write_json: export_json(c),
                    io_formats.write_dot: export_dot(c)}
@@ -483,25 +482,18 @@ class TestBristolImportLimits:
         ("1 4000002\n1 2\n1 4000000\n\n2 1 0 1 4000001 AND\n", "more output wires"),
     ])
     def test_oversized_header_refused_before_allocating(self, doc, match):
-        t0 = time.perf_counter()
-        tracemalloc.start()
-        try:
+        def refused():
             with pytest.raises(BristolFormatError, match=match):
                 import_bristol(doc)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+
+        t0 = time.perf_counter()
+        _, _, peak = traced(refused)
         assert time.perf_counter() - t0 < 0.5
         assert peak < 1 << 20
 
     def test_input_cap_imports_in_bounded_memory(self):
         doc = "1 1048577\n1 1048576\n1 1\n\n2 1 0 1 1048576 AND\n"
-        tracemalloc.start()
-        try:
-            circuit = import_bristol(doc)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        circuit, _, peak = traced(lambda: import_bristol(doc))
         assert circuit.arity == 1 << 20 and circuit.and_count() == 1
         assert peak < 32 << 20
 
