@@ -11,7 +11,13 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .bitops import iter_one_bits
+
+def iter_one_bits(x: int):
+    """Yield positions of set bits of x, lowest first."""
+    while x:
+        lsb = x & -x
+        yield lsb.bit_length() - 1
+        x ^= lsb
 
 
 def _mask(indices: Iterable[int]) -> int:

@@ -34,8 +34,6 @@ from itertools import compress, islice, product
 from operator import countOf, lt
 from typing import Iterable, Iterator, Sequence
 
-from .bitops import full_mask, variable_column
-
 MAX_DENSE_ARITY = 24  # eval_all's cap: a 2 MiB column per output
 
 INPUT = "INPUT"
@@ -49,6 +47,24 @@ _CODES = {XOR: 4, AND: 8, NOT: 16}  # kind byte
 _KINDS = {0: INPUT, 4: XOR, 8: AND, 16: NOT}
 _ID_LIMIT = (1 << 31) - 1  # largest gate id an operand slot holds
 _FLAGS = bytes([0]) + bytes([1]) * 255  # plan byte -> reachable flag
+
+
+def variable_column(arity: int, var: int) -> int:
+    """Column of input x_var over all 2^arity points: bit x is (x >> (var-1)) & 1.
+
+    Built from one period (2^(var-1) zeros, then as many ones) by doubling
+    with shift-and-OR, so it costs O(2^arity) bit operations.
+    """
+    if not 1 <= var <= arity:
+        raise ValueError(f"variable index {var} out of range 1..{arity}")
+    block = 1 << (var - 1)
+    width = 2 * block
+    mask = (1 << block) - 1
+    total = 1 << arity
+    while width < total:
+        mask |= mask << width
+        width <<= 1
+    return mask << block
 
 
 class CircuitBuilder:
@@ -267,7 +283,7 @@ class Circuit:
         cols: list[int | None] = list(input_columns)
         if len(cols) != n:
             raise ValueError(f"expected {n} input columns, got {len(cols)}")
-        ones = full_mask(width)
+        ones = (1 << width) - 1
         append = cols.append
         for f, a, b in zip(islice(self._plan(), n, None), islice(self._first, n, None),
                            islice(self._second, n, None)):

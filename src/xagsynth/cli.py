@@ -31,13 +31,15 @@ _WRITE_SLICE = 1 << 20  # characters per write: the text layer encodes each writ
 
 
 def _check_out_path(path: str) -> None:
-    """Raise an ``OSError`` naming ``path`` if ``open(path, "w")`` cannot create
-    a file there: its last part is empty, ``.`` or ``..``, or its parent does
-    not resolve as given, as ``missing/..`` does not though realpath reads it."""
+    """Raise the ``OSError`` that ``open(path, "w")`` raises, naming ``path``, if
+    it cannot create a file there: the path is empty, its parent does not
+    resolve as given (``missing/..`` does not, though realpath reads it), or
+    its last part is empty, ``.`` or ``..``."""
     try:
+        # the parent as the OS sees it; trailing slashes belong to the last part
+        os.stat(os.path.join(os.path.dirname(path.rstrip("/")) or ".", ""))
         if os.path.basename(path) in ("", ".", ".."):  # a directory, or none
             raise OSError(errno.EISDIR if path else errno.ENOENT, "")
-        os.stat(os.path.join(os.path.dirname(path) or ".", ""))  # the parent, as the OS sees it
     except OSError as exc:
         raise OSError(exc.errno, os.strerror(exc.errno), path) from None
 

@@ -14,8 +14,7 @@ import random
 from functools import cache
 from itertools import islice
 
-from .anf import Anf
-from .bitops import full_mask, iter_one_bits
+from .anf import Anf, iter_one_bits
 from .circuit import AND, MAX_DENSE_ARITY, XOR, Circuit
 from .synth import synthesize_plan
 
@@ -30,12 +29,12 @@ def reference_anf(n: int, i: int) -> Anf:
     """ANF of output i: the single degree-(n-1) monomial missing x_i."""
     if not 1 <= i <= n:
         raise ValueError(f"output index {i} out of range 1..{n}")
-    return Anf(n, [full_mask(n) ^ (1 << (i - 1))])
+    return Anf(n, [((1 << n) - 1) ^ (1 << (i - 1))])
 
 
 def sigma_anf(n: int) -> Anf:
     """ANF of sigma_n: all n monomials of degree n-1."""
-    full = full_mask(n)
+    full = (1 << n) - 1
     return Anf(n, [full ^ (1 << k) for k in range(n)])
 
 
@@ -45,7 +44,7 @@ def reference_table_bits(n: int, i: int) -> int:
     The output is 1 on exactly two points: all-ones, and all-ones with x_i
     cleared.
     """
-    full_point = full_mask(n)
+    full_point = (1 << n) - 1
     return (1 << full_point) | (1 << (full_point ^ (1 << (i - 1))))
 
 
@@ -113,7 +112,7 @@ def _report(mode, circuit, inputs_checked, blocks, point_at, expected_and_count,
             total += diff.bit_count()
             if len(kept) < MISMATCH_CAP or out_idx < kept[-1][0]:
                 kept += [(out_idx, first + t, (exp >> t) & 1, (got >> t) & 1)
-                         for t in iter_one_bits(diff, MISMATCH_CAP)]
+                         for t in islice(iter_one_bits(diff), MISMATCH_CAP)]
                 kept.sort()
                 del kept[MISMATCH_CAP:]
         del got_cols, expected_cols  # free the block before the next is built
@@ -145,7 +144,7 @@ def _structured_columns(n: int, start: int, width: int) -> list[int]:
     at x_v only. Every column without a zero inside the block is one shared
     int, so a block holds at most ``width`` distinct columns.
     """
-    base = full_mask(width) ^ (start == 0)  # clear the all-zeros point
+    base = ((1 << width) - 1) ^ (start == 0)  # clear the all-zeros point
     columns = [base] * n
     for s in range(max(start, 2), start + width):
         columns[s - 2] = base ^ (1 << (s - start))
@@ -204,7 +203,7 @@ def check_sampled(circuit: Circuit, count: int, seed: int,
 def leave_one_out_columns(columns: list[int], width: int) -> list[int]:
     """For each i, the bitwise AND of all columns except columns[i]."""
     n = len(columns)
-    ones = full_mask(width)
+    ones = (1 << width) - 1
     out = [ones] * n  # out[i] first holds the prefix AND of columns[:i]
     for i in range(1, n):
         out[i] = out[i - 1] & columns[i - 1]
@@ -311,7 +310,7 @@ def check_lemma_suite(n_max: int) -> list[LemmaCheck]:
         # the n intermediates are linearly independent in the basis of the n
         # degree-(n-1) monomials, so XOR subsets reach every output; such a
         # monomial misses one variable, and a row is the set of missing ones
-        missing = [[full_mask(n) ^ m for m in a.terms] for a in [sig, *stage2]]
+        missing = [[((1 << n) - 1) ^ m for m in a.terms] for a in [sig, *stage2]]
         in_basis = all(v.bit_count() == 1 for row in missing for v in row)
         rank = _gf2_rank([sum(row) for row in missing])
         add(LemmaCheck("linear-independence", n, in_basis and rank == n, f"rank={rank}"))

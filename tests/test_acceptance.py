@@ -19,7 +19,6 @@ from xagsynth import (
     synthesize,
     synthesize_plan,
 )
-from xagsynth.bitops import full_mask
 from xagsynth.verify import gate_anfs
 
 from oracles import naive_gf2_rank, retap
@@ -59,7 +58,7 @@ def test_criterion_03_stage1_count_and_tables():
         # sigma_n is 1 at each single-zero point, and at all-ones when n is odd
         plan = synthesize_plan(n)
         table = Circuit(n, plan.circuit.gates, (("s", plan.sigma),)).eval_all()[0]
-        full = full_mask(n)
+        full = (1 << n) - 1
         ok = ok and table == sum(1 << (full ^ 1 << k) for k in range(n)) | (n % 2) << full
     report(3, "stage-1: n-2 ANDs and reference tables", ok,
            time.monotonic() - t0, 10)
@@ -99,7 +98,7 @@ def test_criterion_06_linear_independence():
         for gid in [plan.sigma, *plan.stage2_nodes]:
             row = 0
             for m in anfs[gid].terms:
-                missing = full_mask(n) ^ m
+                missing = ((1 << n) - 1) ^ m
                 ok = ok and m.bit_count() == n - 1 and missing.bit_count() == 1
                 row |= missing
             rows.append(row)

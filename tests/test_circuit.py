@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 
 from xagsynth import (AND, BASELINE, NOT, OPTIMAL, XOR, Circuit, CircuitBuilder, export_bristol,
                       import_bristol, reference_anf, synthesize)
+from xagsynth.circuit import variable_column
 from xagsynth.verify import gate_anfs
 
-from oracles import (all_inputs, naive_anf_table, naive_anf_value, naive_eval, naive_reachable,
-                     retap, table_int, traced, vars_of, with_zero_outputs)
+from oracles import (all_inputs, naive_anf_value, naive_eval, naive_reachable, retap, table_int,
+                     traced, vars_of, with_zero_outputs)
 
 
 def sigma3_builder():
@@ -199,32 +200,23 @@ class TestRun:
 
 
 class TestEval:
-    def test_all_ones_input(self):
-        c = synthesize(3)
-        assert c.output_columns([1, 1, 1], 1) == [1, 1, 1]
-
-    def test_two_zeros_kill_everything(self):
-        c = synthesize(4)
-        assert c.output_columns([1, 0, 0, 1], 1) == [0, 0, 0, 0]
-
-    def test_single_zero_selects_one_output(self):
-        c = synthesize(4)
-        assert c.output_columns([1, 0, 1, 1], 1) == [0, 1, 0, 0]
-
-    def test_wrong_input_length(self):
-        with pytest.raises(ValueError):
-            synthesize(3).output_columns([1, 1], 1)
-
-    def test_input_passthrough_table(self):
-        b = CircuitBuilder(2)
-        x1 = 0
-        c = b.finish([("y", x1)])
-        assert c.eval_all() == [table_int([0, 1, 0, 1])]
-
-    def test_sigma3_table_matches_anf(self):
-        b, s = sigma3_builder()
-        c = b.finish([("s", s)])
-        assert c.eval_all() == [table_int(naive_anf_table(3, [(1, 2), (2, 3), (1, 3)]))]
+    @pytest.mark.parametrize("arity", range(1, 19))
+    def test_variable_column(self, arity):
+        # bit x is bit var - 1 of x, point by point up to arity 12 and as the
+        # earlier big-int-division form above it
+        full = (1 << (1 << arity)) - 1
+        for var in range(1, arity + 1):
+            col = variable_column(arity, var)
+            if arity <= 12:
+                assert col >> (1 << arity) == 0
+                for x in range(1 << arity):
+                    assert (col >> x) & 1 == (x >> (var - 1)) & 1, (var, x)
+            else:
+                block = 1 << (var - 1)
+                assert col == (full // ((1 << block) + 1)) << block
+        for var in (0, arity + 1):
+            with pytest.raises(ValueError, match=f"^variable index {var} out of range 1..{arity}$"):
+                variable_column(arity, var)
 
     def test_eval_all_arity_cap(self):
         b = CircuitBuilder(25)

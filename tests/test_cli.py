@@ -241,23 +241,20 @@ class TestIOErrors:
         assert str(target) in err and ".tmp-" not in err
         assert not list(tmp_path.rglob(".tmp-*"))
 
-    # realpath drops what makes the last four paths name no file: "" is the
+    # realpath drops what makes most of these paths name no file: "" is the
     # working directory, "new.bristol/" and "new.bristol/." a file
-    # new.bristol, and "missing/../new.bristol" a file in the working
-    # directory. Each path is refused before synthesis, which raises here
-    @pytest.mark.parametrize("path,error", [("missing/new.bristol",
-                                             "[Errno 2] No such file or directory"),
-                                            ("", "[Errno 2] No such file or directory"),
-                                            ("new.bristol/", "[Errno 21] Is a directory"),
-                                            ("new.bristol/.", "[Errno 21] Is a directory"),
-                                            ("missing/../new.bristol",
-                                             "[Errno 2] No such file or directory")],
-                             ids=["missing-dir", "empty", "slash", "dot", "missing-parent"])
+    # new.bristol, "missing/../new.bristol" a file in the working directory.
+    # Each path is refused as open() refuses it, before synthesis, which
+    # raises here
+    @pytest.mark.parametrize("path", ["missing/new.bristol", "", "new.bristol/", "new.bristol/.",
+                                      "missing/../new.bristol", "missing/..", "missing/sub/",
+                                      "file/."],
+                             ids=["missing-dir", "empty", "slash", "dot", "missing-parent",
+                                  "missing-dotdot", "missing-slash", "file-dot"])
     @pytest.mark.parametrize("argv", [["synth", "--n", "3", "--out"],
                                       ["verify", "--n", "3", "--report"]],
                              ids=["synth", "verify"])
-    def test_path_naming_no_file_is_refused(self, tmp_path, monkeypatch, capsys, argv,
-                                            path, error):
+    def test_path_naming_no_file_is_refused(self, tmp_path, monkeypatch, capsys, argv, path):
         def refuse(*args):
             raise AssertionError("synthesized before the path was checked")
 
@@ -265,10 +262,13 @@ class TestIOErrors:
         monkeypatch.setattr("xagsynth.cli.synthesize", refuse)
         cwd = tmp_path / "cwd"
         cwd.mkdir()
+        (cwd / "file").touch()
         monkeypatch.chdir(cwd)
+        with pytest.raises(OSError) as refused:
+            open(path, "w")
         assert cli(argv + [path]) == 2
-        assert capsys.readouterr() == ("", f"error: {error}: {path!r}\n")
-        assert list(tmp_path.rglob("*")) == [cwd]  # no file, no .tmp-*
+        assert capsys.readouterr() == ("", f"error: {refused.value}\n")
+        assert sorted(tmp_path.rglob("*")) == [cwd, cwd / "file"]  # no new file, no .tmp-*
 
 
 class TestAtomicStreaming:

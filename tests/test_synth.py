@@ -19,8 +19,8 @@ from xagsynth import (
 )
 from xagsynth.verify import gate_anfs
 
-from oracles import (all_inputs, leave_one_out_reference, mono, naive_anf_terms,
-                     reference_baseline, reference_optimal, traced, vars_of)
+from oracles import (all_inputs, leave_one_out_reference, naive_anf_terms, reference_baseline,
+                     reference_optimal, traced, vars_of)
 
 
 def anf_of_node(plan, gid):
@@ -28,15 +28,6 @@ def anf_of_node(plan, gid):
 
 
 class TestSigma:
-    @pytest.mark.parametrize("n,terms", [
-        (3, [(1, 2), (2, 3), (1, 3)]),
-        (4, [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]),
-    ])
-    def test_small_anf(self, n, terms):
-        plan = synthesize_plan(n)
-        assert anf_of_node(plan, plan.sigma) == Anf(n, [mono(*t) for t in terms])
-        assert plan.stage_and_counts[0] == n - 2
-
     @pytest.mark.parametrize("n", range(3, 13))
     def test_anf_and_count_up_to_12(self, n):
         plan = synthesize_plan(n)
@@ -60,15 +51,6 @@ class TestSigma:
 
 
 class TestStage2:
-    def test_n3_pair_products(self):
-        plan = synthesize_plan(3)
-        assert anf_of_node(plan, plan.stage2_nodes[0]) == Anf(3, [mono(2, 3), mono(1, 3)])
-        assert anf_of_node(plan, plan.stage2_nodes[1]) == Anf(3, [mono(1, 3), mono(1, 2)])
-
-    def test_n4_direct_last_output(self):
-        plan = synthesize_plan(4)
-        assert anf_of_node(plan, plan.stage2_nodes[-1]) == Anf(4, [mono(1, 2, 3)])
-
     @pytest.mark.parametrize("n", range(3, 11))
     def test_adds_n_minus_1_ands(self, n):
         plan = synthesize_plan(n)
@@ -77,18 +59,6 @@ class TestStage2:
 
 
 class TestStage3:
-    def test_n3_first_output(self):
-        plan = synthesize_plan(3)
-        assert anf_of_node(plan, plan.circuit.outputs[0][1]) == Anf(3, [mono(2, 3)])
-
-    def test_n3_chain_step(self):
-        plan = synthesize_plan(3)
-        assert anf_of_node(plan, plan.circuit.outputs[1][1]) == Anf(3, [mono(1, 3)])
-
-    def test_n4_first_output(self):
-        plan = synthesize_plan(4)
-        assert anf_of_node(plan, plan.circuit.outputs[0][1]) == Anf(4, [mono(2, 3, 4)])
-
     @pytest.mark.parametrize("n", range(3, 11))
     def test_adds_zero_ands_and_single_monomials(self, n):
         plan = synthesize_plan(n)
@@ -98,13 +68,6 @@ class TestStage3:
 
 
 class TestSynthesize:
-    def test_n4_baseline_count(self):
-        assert synthesize(4, BASELINE).and_count() == 6
-
-    def test_output_labels_in_index_order(self):
-        c = synthesize(6)
-        assert [lbl for lbl, _ in c.outputs] == [f"f_{i}" for i in range(1, 7)]
-
     @pytest.mark.parametrize("n", [1, 2])
     def test_rejects_small_n(self, n):
         with pytest.raises(ValueError):
