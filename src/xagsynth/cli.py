@@ -115,7 +115,6 @@ def _cmd_synth(args) -> int:
         _check_out_path(args.out)
     plan = synthesize_plan(args.n, args.construction)
     circuit, (s1, s2, s3) = plan.circuit, plan.stage_and_counts
-    del plan  # its stage-2 ids are not needed past here
     # the writer streams into the file, so the whole text is never held
     write = {"bristol": partial(write_bristol, circuit), "dot": partial(write_dot, circuit),
              "json": partial(write_json, circuit, construction=args.construction)}[args.format]

@@ -319,8 +319,9 @@ _RECORDS = {k: '    {\n      "id": %d,\n      "kind": "' + name + (
 def write_json(circuit: Circuit, fh: TextIO, construction: str | None = None) -> None:
     """The circuit as the JSON document that ``json.dumps`` with ``indent=2``
     writes, byte for byte, built without json's pure-Python indent encoder:
-    gate records one ``%`` format per chunk of gates, and only the free-text
-    values through ``json.dumps``."""
+    gate records one ``%`` format per chunk of gates, the construction
+    through ``json.dumps`` and each label through the C string encoder that
+    ``json.dumps`` calls for a ``str``."""
     n, kinds, second = circuit.arity, circuit._kinds, circuit._second
     fh.write(f'{{\n  "arity": {n},\n  "construction": {json.dumps(construction)},\n'
              f'  "and_count": {circuit.and_count()},\n  "gates": [')
@@ -330,8 +331,9 @@ def write_json(circuit: Circuit, fh: TextIO, construction: str | None = None) ->
         fh.write(",\n" if lo else "\n")
         fh.write(",\n".join(map(_RECORDS.__getitem__, kinds[lo:hi]))
                  % tuple(chain.from_iterable(zip(range(lo, hi), firsts, second[lo:hi]))))
-    outputs = (f'    {{\n      "label": {json.dumps(label)},\n      "id": {gid}\n    }}'
-               for label, gid in zip(circuit._labels, circuit._ids))
+    labels = map(json.encoder.encode_basestring_ascii, circuit._labels)
+    outputs = (f'    {{\n      "label": {label},\n      "id": {gid}\n    }}'
+               for label, gid in zip(labels, circuit._ids))
     fh.write(("\n  ]" if kinds else "]") + ',\n  "outputs": [')
     fh.write(("\n  ]" if _write_joined(fh, outputs, ",\n", "\n") else "]") + "\n}\n")
 

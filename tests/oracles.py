@@ -184,25 +184,28 @@ def reference_optimal(n):
     x = list(range(-1, n))  # x[v] = gate v - 1, one int shared by its readers
     odd = n % 2
 
-    # stage 1: sigma_n with n-2 ANDs
-    prefix = [None, x[1]]  # prefix[k] = x_1 XOR ... XOR x_k
-    for k in range(2, n if odd else n + 1):
-        prefix.append(xor(prefix[-1], x[k]))
-    pair = {1: prefix[2], 2: xor(x[2], x[3])}  # i -> x_i XOR x_{i+1}, reused by stage 2
+    # stage 1: sigma_n with n-2 ANDs; each step reads its two inputs x_{m-2}
+    # and x_{m-1} for the last time, and builds every pair that stage 2 reads
+    prefix = [None, x[1], xor(x[1], x[2])]  # prefix[k] = x_1 XOR ... XOR x_k
+    pair = [None, prefix[2], xor(x[2], x[3])]  # pair[i] = x_i XOR x_{i+1}
     sigma = xor(and_(pair[1], pair[2]), x[2])
     for m in range(5, n + 1 if odd else n, 2):
         # sigma_m = sigma_{m-2} AND (((x_{m-1} XOR x_m) AND (x_1+...+x_{m-1})) XOR x_{m-1})
-        pair[m - 1] = xor(x[m - 1], x[m])
+        prefix.append(xor(prefix[m - 3], x[m - 2]))
+        pair.append(xor(x[m - 2], x[m - 1]))
+        pair.append(xor(x[m - 1], x[m]))
+        prefix.append(xor(prefix[m - 2], x[m - 1]))
         sigma = and_(sigma, xor(and_(pair[m - 1], prefix[m - 1]), x[m - 1]))
     if not odd:
         previous = sigma  # sigma_{n-1}
+        prefix.append(xor(prefix[n - 2], x[n - 1]))
+        prefix.append(xor(prefix[n - 1], x[n]))
         sigma = and_(previous, prefix[n])
     end1 = len(gates)
 
     # stage 2: pair products (x_i XOR x_{i+1}) AND sigma_n; for even n the
     # last one is sigma_{n-1} AND prefix[n-1]
-    stage2 = [and_(pair[i] if i in pair else xor(x[i], x[i + 1]), sigma)
-              for i in range(1, n if odd else n - 1)]
+    stage2 = [and_(pair[i], sigma) for i in range(1, n if odd else n - 1)]
     if not odd:
         stage2.append(and_(previous, prefix[n - 1]))
     end2 = len(gates)

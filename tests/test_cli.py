@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import stat
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from xagsynth import (
     OPTIMAL,
     Circuit,
     check_exhaustive,
+    check_sampled,
     export_bristol,
     export_dot,
     export_json,
@@ -407,6 +409,19 @@ class TestSampledMemory:
         peak = _child_peak_mib(["-m", "xagsynth.cli", "verify", "--n", str(self.N),
                                 "--mode", "sample", "--samples", "1000"])
         assert peak - synth_only <= 24, (peak, synth_only)
+
+
+@pytest.mark.parametrize("n", [3001, 4096])
+def test_sampled_check_holds_about_n_wide_columns(n):
+    # stage 1 builds each pair sum in the step that reads its inputs last, so
+    # the random block's pass peaks near the drawn block itself (1.08 times it
+    # here), where building the odd pair sums in stage 2 kept every input and
+    # the even pairs through stage 1 (1.56 times)
+    circuit, samples = synthesize(n), 4096
+    rng = random.Random(5)
+    _, block, _ = traced(lambda: [rng.getrandbits(samples) for _ in range(n)])
+    report, _, peak = traced(lambda: check_sampled(circuit, samples, 5))
+    assert report.passed and peak <= 1.2 * block, peak / block
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB")

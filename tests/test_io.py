@@ -34,22 +34,23 @@ def and_lines(doc):
     return [l for l in doc.splitlines() if l.endswith(" AND")]
 
 
-# sha256 of export_bristol and export_dot of synthesize(n, c). The Bristol
-# digests were recorded when input gates still carried their variable as
-# ("INPUT", v); the optimal DOT digests for n >= 4 since XORs have two operands
+# sha256 of export_bristol and export_dot of synthesize(n, c). The baseline
+# Bristol digests were recorded when input gates still carried their variable
+# as ("INPUT", v); the optimal ones for n >= 4 since stage 1 builds every pair
+# sum x_i XOR x_{i+1} in the step that reads x_i last
 _PINNED_BRISTOL_DOT = [
     (3, OPTIMAL, "ade57c7cbf445607f3f2a1bd95b165b07c977b9fa946b3e1e5f8a9147df38050",
      "b312ffc917cdf582d4393cc9a16a43df92b8aeeee5551719e4c16fb95ae7320c"),
-    (4, OPTIMAL, "38497ad7b66ba69d2884d4dc3a30d1fa62b4a1a21306a15831764e199f175b67",
-     "3bd62e40bb5f91ef4ca9e80b2dc306320a2fbacb11f970b56ee6c4195f8c988f"),
-    (5, OPTIMAL, "a839e643a9c0d9d0b1bd0055c743684d0fc365dc3c15fa6e90d914de4423def8",
-     "8de340d47bc91dbe1d2a2ebdb5e8f118d74f592977beded37b83be4f8e848472"),
-    (6, OPTIMAL, "b7266944e22c58556112aff8958f799e11a6bb486639203e062e9ebef3f69c83",
-     "e7952b5bbfbf94aae6f3592c93e8b51626e311fb0ac2f45241715567f207b8cc"),
-    (37, OPTIMAL, "5dd27b71e08f655cf8f29d70f582edb523b825bf1ba5a0b0fb4b18981b768c7e",
-     "e847c73fb9b0358c74dc0e93a1d0e4f622b589b27dd39795e55755eab6e45ff9"),
-    (1000, OPTIMAL, "f0d4b1461dfd2fcc9a4787887163b790e679b0f0c8e9d7198bcdf728ba2400c6",
-     "e18f0f53726439227e2aa57fd0731774323ffa75986fdcfdc4edadde16d0dc63"),
+    (4, OPTIMAL, "3151ab6f44cc3e09752135f0ef4f4300ea6fc54d224fa2134c37d7eeb53c6a7f",
+     "a7e0158c2199218da32dc4fdc3019e69de50dfd5643061c34132ac75290a32f4"),
+    (5, OPTIMAL, "fbed2552cb1dd77751134af4380522c3f8f0cb4f8bd9443c32fadda0cf94bdf2",
+     "2efd96179c6202b0880511aa29fb6019065f103b9e9dcc52a7032bbb827541a7"),
+    (6, OPTIMAL, "698fd42f84e205139ac40dacc64b33a8c39bcce3d97f833988841a7c4ca5e061",
+     "b915ff63e4de5068d42a8c86352dc3ae13c7e7e28516fd3a86ec63511caae277"),
+    (37, OPTIMAL, "b1139b75a97e51a36646235ad7f72920d55933c623264edf43e63e94560d9782",
+     "e45e5e070a0d6ddb80df188a48a39b489edd8e2d7433415459d0dc386d1f5f1c"),
+    (1000, OPTIMAL, "a55467c81c2400096ef445a30e88945a997263f0f730c8fe3af7ffb585c3f43f",
+     "3328e862ce8facdaaad75dc3bf4bbce0c5ad710db08d2f0df31801e39767566f"),
     (3, BASELINE, "a2c3a27fbc4b175804aa04342b31b6d0b94f327b68eaf7a0f3fae91eb62fcec4",
      "55f6a2470003e44dab2b23cecad800b595f7c9e4af2fce9f1331ea3b9fc3db1d"),
     (4, BASELINE, "c68d5ac254bbc748cb7c745aae639d7fa8439b8102e2959d0e308512ff652738",
@@ -499,15 +500,15 @@ class TestIndependentChecker:
 
 
 # sha256 of export_json(synthesize(n, c), c), recorded from the json.dumps
-# writer; the optimal digests for n >= 4 since XORs have two operands, and
+# writer; the optimal digests for n >= 4 since stage 1 builds every pair sum, and
 # TestIndependentChecker holds those documents to the checker
 _PINNED_JSON = [
     (3, OPTIMAL, "72aca4ecdd49e8a77f6c41b40cc0443fb565aa0895ca9aba455b7b48dd303b57"),
-    (4, OPTIMAL, "87405cc3136f86c749b3418affb365947cfd6adaca71951b84bb4066e4c25003"),
-    (5, OPTIMAL, "c8ba1405d558f6d7f3b703355963a878e491bd2b089e073163c9dad307999ef8"),
-    (6, OPTIMAL, "937de7ded196c1b9c1afaec60dd9a077db3dd30543f2db007d926133e04b54d7"),
-    (37, OPTIMAL, "e0891e13dc19e858402e175f0aa83ab52fcc41de9b0b5ece712c8adc1eb0bfe9"),
-    (1000, OPTIMAL, "a46318db88c114f48fbfc9815e10689135cd1294b0da2d342cec46e04986e4e2"),
+    (4, OPTIMAL, "0c69ded26419c92641c5e3546a0f8bb395e37afd497739205b4a4c9d554c3a06"),
+    (5, OPTIMAL, "a804c606400adbf3e7e0b0daeafa0a43c89c8c203089162bb16d3f79d6e364f5"),
+    (6, OPTIMAL, "a30fab8969ff511101c38fcabbc90bedaff61fcc0a2cd0f55d5d42d980a1f9ad"),
+    (37, OPTIMAL, "ec08874b1122e0cd20118ff1b65d6b0dd591561c5718c1ec9805916c63ef1884"),
+    (1000, OPTIMAL, "1dd1c767925b5d939f10c197def341176c802205a15b99c49a73e7467e659448"),
     (3, BASELINE, "345b40fe09314cb9da9f22b9b07d7d98f22efd528fd997682b0c4aa96d71f63a"),
     (4, BASELINE, "2fc605288aaee9a4970612545c625fce23e8cb3531f81b40668732c48ae67e9f"),
     (5, BASELINE, "f7c40929a6ca348134ad3e133e80556669d4d183019b8f0d1e0fe67c822361c0"),

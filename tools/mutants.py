@@ -30,6 +30,42 @@ A = "src/xagsynth/anf.py"
 IO = "src/xagsynth/io_formats.py"
 CLI = "src/xagsynth/cli.py"
 
+# stage 1's seven-gate step through stage 2's products, and the same gates
+# with the odd pair sums x_{m-2} XOR x_{m-1} built after sigma_n instead, so
+# that every input and the even pair sums live through stage 1
+_STEPS = '''    run([XOR, XOR, XOR, XOR, AND, XOR, AND],
+        [lane(b - 4, 7), lane(2, 2), lane(3, 2), lane(b, 7), lane(b + 2, 7), lane(b + 4, 7),
+         lane(b - 1, 7)],
+        [lane(2, 2), lane(3, 2), lane(4, 2), lane(3, 2), lane(b + 3, 7), lane(3, 2),
+         lane(b + 5, 7)], reps)
+    sigma += 7 * reps
+    if not odd:  # prefix[n-2] is gate sigma_{n-1} - 3; prefix[n-1] and prefix[n] follow it
+        previous = sigma  # sigma_{n-1}, tapped again by stage 2
+        sigma = and_(previous, xor(sigma - 3, n - 2, n - 1))  # AND prefix[n]
+    c1 = builder.and_gates_created
+
+    # stage 2: s_i = pair[i] AND sigma_n; for even n the last is the output x_1...x_{n-1}
+    # = sigma_{n-1} AND prefix[n-1]. Step r's pairs give s_{m-2} and s_{m-1}
+    s1 = and_(n, sigma)
+    and_(n + 1, sigma)
+    sigmas = array("i", [sigma]) * reps
+    run([AND, AND], [lane(b + 1, 7), lane(b + 2, 7)], [sigmas, sigmas], reps)
+'''
+_ODD_PAIRS_IN_STAGE2 = '''    run([XOR, XOR, XOR, AND, XOR, AND],
+        [lane(b - 4, 6), lane(3, 2), lane(b, 6), lane(b + 1, 6), lane(b + 3, 6), lane(b - 1, 6)],
+        [lane(2, 2), lane(4, 2), lane(3, 2), lane(b + 2, 6), lane(3, 2), lane(b + 4, 6)], reps)
+    sigma += 6 * reps
+    if not odd:
+        previous = sigma
+        sigma = and_(previous, xor(sigma - 3, n - 2, n - 1))
+    c1 = builder.and_gates_created
+    odd_pairs = run([XOR], [lane(2, 2)], [lane(3, 2)], reps)
+    s1 = and_(n, sigma)
+    and_(n + 1, sigma)
+    sigmas = array("i", [sigma]) * reps
+    run([AND, AND], [odd_pairs, lane(b + 1, 6)], [sigmas, sigmas], reps)
+'''
+
 # (id, path, old, new)
 MUTANTS = [
     # the builder's runs
@@ -39,17 +75,21 @@ MUTANTS = [
     ("S3", C, "count * pattern.count(AND)", "count * (AND in pattern)"),  # one AND per repeat
     ("S4", S, "run([AND], [p], [q], n - 2)", "run([AND], [q], [p], n - 2)"),  # baseline outputs
     # operand order and ids in the optimal construction
-    ("R1", S, "and_(n, pair2)", "and_(pair2, n)"),  # sigma_3's operands
-    ("R2", S, "stage2[:2] = and_(n, sigma), and_(pair2, sigma)",
-     "stage2[:2] = and_(pair2, sigma), and_(n, sigma)"),
-    ("R3", S, "and_(previous, 2 * n - 3)", "and_(previous, 2 * n - 2)"),  # even last output
+    ("R1", S, "and_(n, n + 1)", "and_(n + 1, n)"),  # sigma_3's operands
+    ("R2", S, "s1 = and_(n, sigma)\n    and_(n + 1, sigma)",
+     "s1 = and_(n + 1, sigma)\n    and_(n, sigma)"),  # the first two pair products swapped
+    ("R3", S, "and_(previous, previous + 1)", "and_(previous, previous + 2)"),  # even last output
     ("R4", V, "random.Random(seed)", "random.Random()"),  # sampled points not seeded
-    ("R5", S, "and_(previous, 2 * n - 2)", "and_(2 * n - 2, previous)"),  # even sigma_n
+    ("R5", S, "and_(previous, xor(sigma - 3, n - 2, n - 1))",
+     "and_(xor(sigma - 3, n - 2, n - 1), previous)"),  # even sigma_n's operands
     # named nodes, lanes, caches and flags
     ("C1", S, "return sigma, stage2, outputs,",
      "return sigma, [builder.and_(0, 1)] * len(stage2), outputs,"),
     ("C2", S, "stage2, outputs, (c1", "stage2, [sigma] * len(outputs), (c1"),
-    ("C3", S, "lane(sigma + 2, 4), lane(sigma, 4)]", "lane(sigma + 1, 4), lane(sigma, 4)]"),
+    ("C3", S, "lane(b + 4, 7),", "lane(b + 3, 7),"),  # u reads prefix[m-1], not t
+    ("O1", S, _STEPS, _ODD_PAIRS_IN_STAGE2),  # the same circuit, gates in the old order
+    ("O2", S, "s[1])  # the chain through s_2\n    evens = s[3::2]",
+     "*s[1::2])\n    evens = s[3:3]"),  # f_1's chain as one xor call, an int per operand
     ("C4", C, "slice(None, None, count - 1 or 1)", "slice(None, 1)"),
     ("C5", C, "not (min(lane) >= 0 and", "not (True and"),
     ("C6", V, "enumerate(zip(got_cols, expected_cols), start=1)",
@@ -97,11 +137,10 @@ MUTANTS = [
      "raise ValueError(\n                f\"line {line_no}: expected an integer"),
     # construction nodes (TestSigma::test_small_anf, TestStage2 and TestStage3's
     # single-n tests, TestSynthesize's n4 count, labels and stage budget)
-    ("N1", S, "sigma = xor(and_(n, pair2), 1)", "sigma = xor(and_(n, pair2), 2)"),
-    ("N2", S, "stage2[:2] = and_(n, sigma), and_(pair2, sigma)",
-     "stage2[:2] = and_(n, sigma), and_(n, sigma)"),
-    ("N3", S, "stage2.append(and_(previous, 2 * n - 3))", "stage2.append(and_(sigma, 2 * n - 3))"),
-    ("N4", S, "*stage2[1::2])", "*stage2[0::2])"),  # f_1 sums the wrong products
+    ("N1", S, "sigma = xor(and_(n, n + 1), 1)", "sigma = xor(and_(n, n + 1), 2)"),
+    ("N2", S, "    and_(n + 1, sigma)\n", "    and_(n, sigma)\n"),  # s_2 = pair[1] AND sigma_n
+    ("N3", S, "and_(previous, previous + 1)", "and_(sigma, previous + 1)"),
+    ("N4", S, "evens = s[3::2]", "evens = s[2::2]"),  # f_1 sums the wrong products
     ("N5", S, "[range(f1, f1 + len(s))], [s], len(s)",
      "[range(f1, f1 + len(s))], [s[::-1]], len(s)"),
     ("N6", S, "*builder.run([AND], [p], [q], n - 2), 2 * n - 3]",
